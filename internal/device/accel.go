@@ -581,8 +581,12 @@ func (g *GPUDevice) Perturb(implID string) float64 { return perturb(g.name, impl
 // low-power shell state for idle periods.
 type FPGADevice struct {
 	accelBase
-	spec      FPGASpec
-	loaded    string // ImplID of the resident bitstream; "" = blank shell
+	spec   FPGASpec
+	loaded string // ImplID of the resident bitstream; "" = blank shell
+	// noise is Perturb(loaded), recomputed by load whenever the resident
+	// bitstream changes. drain only starts a task whose impl is loaded,
+	// so it reads this instead of hashing per task.
+	noise     float64
 	lowPower  bool
 	queue     []*Task
 	inflight  int
@@ -598,6 +602,7 @@ type FPGADevice struct {
 // NewFPGA attaches a simulated FPGA board to a simulator.
 func NewFPGA(s *sim.Simulator, name string, spec FPGASpec) *FPGADevice {
 	f := &FPGADevice{accelBase: accelBase{name: name, sim: s}, spec: spec}
+	f.noise = f.Perturb("")
 	f.setPower(spec.IdlePowerW)
 	return f
 }
@@ -640,16 +645,12 @@ func (f *FPGADevice) Preload(implID string) {
 	f.lowPower = false
 	f.draining = true // block submissions from racing the flash
 	f.setPower(f.spec.IdlePowerW + 0.3*(f.spec.PeakPowerW-f.spec.IdlePowerW))
-	prev := f.loaded
 	if f.fault != nil && f.fault.ReconfigAborts(f.name, implID, f.sim.Now()) {
 		// Aborted background flash: the stall is paid, the fabric comes
 		// up blank, and the governor's next provisioning pass retries.
-		f.loaded = ""
+		f.load("")
 	} else {
-		f.loaded = implID
-	}
-	if f.res != nil && f.loaded != prev {
-		f.res.BitstreamResident(f.name, f.loaded, f.sim.Now())
+		f.load(implID)
 	}
 	f.nextInit = f.sim.Now() + sim.Time(f.spec.ReconfigMS)
 	f.sim.At(f.nextInit, func() {
@@ -660,6 +661,20 @@ func (f *FPGADevice) Preload(implID string) {
 			f.drain()
 		}
 	})
+}
+
+// load makes implID the resident bitstream ("" = blank fabric), memoizes
+// its execution noise, and reports a residency change to the resource
+// observer.
+func (f *FPGADevice) load(implID string) {
+	if f.loaded == implID {
+		return
+	}
+	f.loaded = implID
+	f.noise = f.Perturb(implID)
+	if f.res != nil {
+		f.res.BitstreamResident(f.name, implID, f.sim.Now())
+	}
 }
 
 // Submit enqueues a task; it starts as soon as the pipeline's initiation
@@ -721,16 +736,12 @@ func (f *FPGADevice) drain() {
 		}
 		f.lowPower = false
 		f.setPower(f.spec.IdlePowerW + 0.3*(f.spec.PeakPowerW-f.spec.IdlePowerW))
-		prev := f.loaded
 		if aborted {
 			f.abortStreak++
-			f.loaded = ""
+			f.load("")
 		} else {
 			f.abortStreak = 0
-			f.loaded = t.ImplID
-		}
-		if f.res != nil && f.loaded != prev {
-			f.res.BitstreamResident(f.name, f.loaded, f.sim.Now())
+			f.load(t.ImplID)
 		}
 		f.nextInit = f.sim.Now() + sim.Time(f.spec.ReconfigMS)
 		f.sim.AtCall(f.nextInit, fireFPGADrain, f)
@@ -742,7 +753,7 @@ func (f *FPGADevice) drain() {
 		return
 	}
 	f.queue = f.queue[1:]
-	noise := f.Perturb(t.ImplID)
+	noise := f.noise
 	if s := f.execScale(t.ImplID); s != 1 {
 		noise *= s
 	}

@@ -3,9 +3,6 @@ package sched
 import (
 	"encoding/binary"
 	"math"
-	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // PlanCache memoizes complete request plans keyed by an exact signature
@@ -34,63 +31,39 @@ import (
 // oscillates between operating points, the plans for both points stay
 // warm.
 //
-// The cache is sharded 16 ways by key hash, and the hit path is
-// lock-free: each shard publishes an immutable read map through an
-// atomic.Pointer, so steady-state readers load one pointer and index —
-// no RWMutex, no read-side cache-line writes beyond the recency stamp —
-// and concurrent fleet shards plan without contention. Writes use the
-// sync.Map discipline: inserts go to a mutable dirty map under a
-// per-shard mutex (copied from the read map once per promotion cycle,
-// not per insert), read-misses consult the dirty map under the same
-// mutex, and once dirty lookups outnumber the dirty map's size the
-// dirty map is promoted — published as the new immutable read map. A
-// read-miss is about to run the full planner anyway, so the slow path's
-// mutex is noise; the hot path (a key already promoted) never blocks.
-// The ordering contract is seal-then-publish: a plan is sealed (frozen,
-// fingerprinted under plancheck) before put is called, and the mutex
-// (dirty hits) or the atomic promotion store (read hits) is the release
-// barrier that makes the sealed plan visible to readers. Recency is
-// tracked with atomic stamps from a global clock. Eviction is batched
-// approximate-LRU: overflow evicts the globally oldest-stamped entries
-// (the exact LRU victim in sequential use), plus capacity/8 more so the
-// scan amortizes to O(1) per insert.
+// The cache has a single owner. Each planner builds its own, and every
+// serving session and fleet shard builds its own planner, whose scratch
+// buffers are not reentrant anyway — so there are no locks or atomics.
+// It is one map from key to a slot in an entry slab, with the slots
+// threaded into an exact LRU list by index: a hit is one map lookup plus
+// a relink, and an insert past capacity reuses the least recently used
+// entry's slot, so an insert allocates only the key string (and a slab
+// chunk every planChunk inserts while the cache fills).
 type PlanCache struct {
 	capacity int
-	clock    atomic.Uint64
-	size     atomic.Int64
-	hits     atomic.Int64
-	misses   atomic.Int64
-	shards   [planCacheShards]planShard
+	index    map[string]int32
+	// chunks is the entry slab, grown a fixed-size chunk at a time so
+	// growth never copies it; n slots are in use. head is the most
+	// recently used slot and tail the least (-1 when empty).
+	chunks       []*[planChunk]planEntry
+	n            int32
+	head, tail   int32
+	hits, misses int
 }
 
-const planCacheShards = 16
+// planChunk is the slab's growth step, in entries.
+const planChunk = 64
 
-// planMap is one shard's published generation: readers treat it as
-// immutable; once a map has been stored in planShard.read it is never
-// written again.
-type planMap = map[string]*planEntry
-
-type planShard struct {
-	// mu guards dirty and missed, and serializes put/evict/promotion.
-	// The read-hit path never takes it.
-	mu sync.Mutex
-	// read is the shard's immutable published map; never nil.
-	read atomic.Pointer[planMap]
-	// dirty, when non-nil, is a superset of *read plus unpromoted
-	// inserts. It is mutable only until promotion publishes it as the
-	// new read map, after which the next insert copies it afresh.
-	dirty planMap
-	// missed counts read-misses that hit dirty; reaching len(dirty)
-	// triggers promotion, so the amortized promotion cost is O(1).
-	missed int
-}
-
-// planEntry is one memoized plan; the stamp is its last-touched tick.
+// planEntry is one memoized plan and its LRU links (slab indices, -1 at
+// either end of the list).
 type planEntry struct {
-	key   string
-	plan  *Plan
-	stamp atomic.Uint64
+	key        string
+	plan       *Plan
+	prev, next int32
 }
+
+// at returns slot i's entry.
+func (c *PlanCache) at(i int32) *planEntry { return &c.chunks[i/planChunk][i%planChunk] }
 
 // defaultPlanCacheCapacity bounds the key space one planner retains.
 // A steady serving run touches a few dozen distinct signatures (idle
@@ -105,183 +78,104 @@ func newPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		return nil
 	}
-	c := &PlanCache{capacity: capacity}
-	for i := range c.shards {
-		m := make(planMap)
-		c.shards[i].read.Store(&m)
-	}
-	return c
+	return &PlanCache{capacity: capacity, index: make(map[string]int32), head: -1, tail: -1}
 }
 
-// shardOf hashes the key (FNV-1a, folded) to a shard index.
-func shardOf(key []byte) int {
-	var h uint64 = 14695981039346656037
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= 1099511628211
+// memo returns the plan cached under key, or runs cold, seals its plan
+// and caches it. The plan is pre-sorted before sealing so every hit
+// carries the start order and the serving loop never re-sorts. key may
+// be the caller's scratch buffer: put copies it.
+func (c *PlanCache) memo(key []byte, cold func() (*Plan, error)) (*Plan, error) {
+	if hit := c.get(key); hit != nil {
+		return hit, nil
 	}
-	return int((h ^ h>>32) & (planCacheShards - 1))
+	p, err := cold()
+	if err != nil {
+		return nil, err
+	}
+	p.Order()
+	p.seal()
+	c.put(key, p)
+	return p, nil
 }
 
-// get returns the cached plan for the key, or nil. The result is the
-// shared sealed plan — callers must not mutate it. The hot path is
-// lock-free: one atomic pointer load, one map index, and an atomic
-// recency stamp; the acquire on the pointer load pairs with promotion's
-// publishing store, so a visible entry always carries a fully sealed
-// plan. Keys not yet promoted fall through to the dirty map under the
-// shard mutex — a miss there proceeds to the full planner, so the lock
-// never sits on the steady-state path.
+// get returns the cached plan for the key, or nil, and marks a hit most
+// recently used. The result is the shared sealed plan — callers must not
+// mutate it.
 func (c *PlanCache) get(key []byte) *Plan {
-	sh := &c.shards[shardOf(key)]
-	m := *sh.read.Load()
 	// map[string([]byte)] compiles to an allocation-free lookup.
-	e := m[string(key)]
-	if e == nil {
-		e = sh.dirtyLookup(key)
-	}
-	if e == nil {
-		c.misses.Add(1)
+	i, ok := c.index[string(key)]
+	if !ok {
+		c.misses++
 		return nil
 	}
-	c.hits.Add(1)
-	e.stamp.Store(c.clock.Add(1))
-	p := e.plan
+	c.hits++
+	c.toFront(i)
+	p := c.at(i).plan
 	if planCheckEnabled {
 		p.verifySeal()
 	}
 	return p
 }
 
-// dirtyLookup is get's slow path: consult the unpromoted inserts, and
-// promote the dirty map once it has absorbed as many read-misses as it
-// holds entries (the sync.Map policy — promotion cost amortizes to O(1)
-// per insert).
-func (sh *planShard) dirtyLookup(key []byte) *planEntry {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.dirty == nil {
-		return nil
-	}
-	e := sh.dirty[string(key)]
-	if e == nil {
-		return nil
-	}
-	sh.missed++
-	if sh.missed >= len(sh.dirty) {
-		m := sh.dirty
-		sh.read.Store(&m)
-		sh.dirty = nil
-		sh.missed = 0
-	}
-	return e
-}
-
-// put stores a sealed plan under the key, evicting the oldest-stamped
-// entries when over capacity. The insert lands in the shard's dirty
-// map; the read map is copied into a fresh dirty map only when none
-// exists (once per promotion cycle, not per insert), so sustained-miss
-// workloads do not rebuild the map on every plan.
+// put stores a sealed plan under a key the cache does not hold, as the
+// most recently used entry. Past capacity the least recently used entry
+// is evicted and its slot reused.
 func (c *PlanCache) put(key []byte, p *Plan) {
 	if planCheckEnabled {
 		p.verifySeal()
 	}
-	sh := &c.shards[shardOf(key)]
-	sh.mu.Lock()
-	k := string(key)
-	fresh := true
-	if sh.dirty == nil {
-		read := *sh.read.Load()
-		sh.dirty = make(planMap, len(read)+1)
-		for ok, ov := range read {
-			sh.dirty[ok] = ov
+	var i int32
+	if int(c.n) < c.capacity {
+		i = c.n
+		c.n++
+		if int(i/planChunk) == len(c.chunks) {
+			c.chunks = append(c.chunks, new([planChunk]planEntry))
 		}
-		sh.missed = 0
+	} else {
+		i = c.tail
+		c.unlink(i)
+		delete(c.index, c.at(i).key)
 	}
-	if _, ok := sh.dirty[k]; ok {
-		// Same signature planned twice (e.g. after a stats reset): the
-		// planner is deterministic, so the plans are interchangeable.
-		// Concurrent readers may still hold the old entry — publish a
-		// new one instead of mutating in place.
-		fresh = false
-	}
-	e := &planEntry{key: k, plan: p}
-	e.stamp.Store(c.clock.Add(1))
-	sh.dirty[k] = e
-	sh.mu.Unlock()
-	if fresh && int(c.size.Add(1)) > c.capacity {
-		c.evictOverflow()
+	k := string(key)
+	*c.at(i) = planEntry{key: k, plan: p}
+	c.index[k] = i
+	c.pushFront(i)
+}
+
+// toFront marks slot i most recently used.
+func (c *PlanCache) toFront(i int32) {
+	if c.head != i {
+		c.unlink(i)
+		c.pushFront(i)
 	}
 }
 
-// evictOverflow drops the oldest-stamped entries until the cache is
-// capacity/8 under capacity. Batching keeps the full scan amortized: at
-// sustained-miss insert rates the scan runs once per capacity/8 inserts.
-func (c *PlanCache) evictOverflow() {
-	need := int(c.size.Load()) - c.capacity
-	if need <= 0 {
-		return
+// unlink removes slot i from the LRU list.
+func (c *PlanCache) unlink(i int32) {
+	e := c.at(i)
+	if e.prev >= 0 {
+		c.at(e.prev).next = e.next
+	} else {
+		c.head = e.next
 	}
-	need += c.capacity / 8
-	type victim struct {
-		stamp uint64
-		shard int
-		key   string
+	if e.next >= 0 {
+		c.at(e.next).prev = e.prev
+	} else {
+		c.tail = e.prev
 	}
-	var cands []victim
-	for si := range c.shards {
-		// The dirty map (when present) is a superset of the read map;
-		// scanning it under the shard mutex sees every live entry.
-		sh := &c.shards[si]
-		sh.mu.Lock()
-		m := sh.dirty
-		if m == nil {
-			m = *sh.read.Load()
-		}
-		for k, e := range m {
-			cands = append(cands, victim{stamp: e.stamp.Load(), shard: si, key: k})
-		}
-		sh.mu.Unlock()
+}
+
+// pushFront links slot i, not currently in the list, in as its head.
+func (c *PlanCache) pushFront(i int32) {
+	e := c.at(i)
+	e.prev, e.next = -1, c.head
+	if c.head >= 0 {
+		c.at(c.head).prev = i
+	} else {
+		c.tail = i
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].stamp < cands[j].stamp })
-	if need > len(cands) {
-		need = len(cands)
-	}
-	// One rebuild per shard, dropping that shard's victims in a batch
-	// and publishing the survivors as the new read map. The stamp
-	// recheck keeps entries that were touched (or replaced) since the
-	// scan.
-	var drop [planCacheShards]map[string]uint64
-	for _, v := range cands[:need] {
-		if drop[v.shard] == nil {
-			drop[v.shard] = make(map[string]uint64)
-		}
-		drop[v.shard][v.key] = v.stamp
-	}
-	for si := range drop {
-		if len(drop[si]) == 0 {
-			continue
-		}
-		sh := &c.shards[si]
-		sh.mu.Lock()
-		old := sh.dirty
-		if old == nil {
-			old = *sh.read.Load()
-		}
-		next := make(planMap, len(old))
-		removed := 0
-		for k, e := range old {
-			if st, ok := drop[si][k]; ok && e.stamp.Load() == st {
-				removed++
-				continue
-			}
-			next[k] = e
-		}
-		sh.read.Store(&next)
-		sh.dirty = nil
-		sh.missed = 0
-		sh.mu.Unlock()
-		c.size.Add(int64(-removed))
-	}
+	c.head = i
 }
 
 // Len returns the number of cached plans.
@@ -289,7 +183,7 @@ func (c *PlanCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return int(c.size.Load())
+	return len(c.index)
 }
 
 // Stats returns the hit/miss counters accumulated since creation.
@@ -297,7 +191,7 @@ func (c *PlanCache) Stats() (hits, misses int) {
 	if c == nil {
 		return 0, 0
 	}
-	return int(c.hits.Load()), int(c.misses.Load())
+	return c.hits, c.misses
 }
 
 // appendPlanKeyDevices appends the exact device-state signature to b.

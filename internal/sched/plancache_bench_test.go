@@ -2,7 +2,6 @@ package sched
 
 import (
 	"encoding/binary"
-	"sync"
 	"testing"
 )
 
@@ -25,9 +24,8 @@ func cacheHitKeys(c *PlanCache, n int) [][]byte {
 	return keys
 }
 
-// BenchmarkPlanCacheHit is the uncontended hit path: one goroutine
-// cycling through a warm working set, the per-request cost a single
-// serving session pays.
+// BenchmarkPlanCacheHit is the hit path: one goroutine cycling through a
+// warm working set, the per-request cost a serving session pays.
 func BenchmarkPlanCacheHit(b *testing.B) {
 	c := newPlanCache(1024)
 	keys := cacheHitKeys(c, 64)
@@ -38,31 +36,4 @@ func BenchmarkPlanCacheHit(b *testing.B) {
 			b.Fatal("unexpected miss")
 		}
 	}
-}
-
-// BenchmarkPlanCacheContendedHits hammers the hit path from 8 goroutines
-// over a shared warm cache — the fleet shape, where concurrent shard
-// event loops plan against their node states at once. Each op is one get
-// per goroutine (8 gets of total work), so ns/op is the latency a shard
-// observes under full contention.
-func BenchmarkPlanCacheContendedHits(b *testing.B) {
-	c := newPlanCache(1024)
-	keys := cacheHitKeys(c, 64)
-	const goroutines = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < b.N; i++ {
-				if c.get(keys[(i+g*7)&63]) == nil {
-					b.Error("unexpected miss")
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }

@@ -1,7 +1,10 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"poly/internal/device"
@@ -133,6 +136,64 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	devs[0].FreeAtMS = states[1]
 	if _, hit := scheduleOnce(t, s, devs, 0); hit {
 		t.Fatal("state 1 was least recently used and must have been evicted")
+	}
+}
+
+// TestPlanCacheMatchesLRUModel runs a randomized script of lookups and
+// memoized plans against the cache and a reference exact-LRU model (a
+// recency-ordered key list) at every capacity from 1 to 64. Every call
+// must hit exactly when the model holds the key and return the plan
+// cached under it, a memo miss must run the cold planner once, and Len
+// must equal the model's size after every step.
+func TestPlanCacheMatchesLRUModel(t *testing.T) {
+	for capacity := 1; capacity <= 64; capacity++ {
+		rng := rand.New(rand.NewSource(int64(capacity)))
+		c := newPlanCache(capacity)
+		var lru []string // most recently used first
+		plans := map[string]*Plan{}
+		touch := func(k string) {
+			if i := slices.Index(lru, k); i >= 0 {
+				lru = slices.Delete(lru, i, i+1)
+			}
+			lru = slices.Insert(lru, 0, k)
+			if len(lru) > capacity {
+				lru = lru[:capacity]
+			}
+		}
+		keySpace := 2*capacity + 3
+		for step := 0; step < 3000; step++ {
+			k := fmt.Sprintf("key-%d", rng.Intn(keySpace))
+			want := slices.Contains(lru, k)
+			var got *Plan
+			if rng.Intn(3) == 0 {
+				colds := 0
+				var err error
+				got, err = c.memo([]byte(k), func() (*Plan, error) {
+					colds++
+					return &Plan{EnergySwaps: step}, nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (colds == 0) != want || colds > 1 {
+					t.Fatalf("capacity %d step %d: memo(%s) ran %d cold plans, model hit=%v", capacity, step, k, colds, want)
+				}
+				if !want {
+					plans[k] = got
+				}
+			} else if got = c.get([]byte(k)); (got != nil) != want {
+				t.Fatalf("capacity %d step %d: get(%s) hit=%v, model says %v", capacity, step, k, got != nil, want)
+			}
+			if got != nil {
+				if got != plans[k] {
+					t.Fatalf("capacity %d step %d: %s returned a plan it did not cache", capacity, step, k)
+				}
+				touch(k)
+			}
+			if c.Len() != len(lru) {
+				t.Fatalf("capacity %d step %d: Len() = %d, model holds %d", capacity, step, c.Len(), len(lru))
+			}
+		}
 	}
 }
 

@@ -676,20 +676,9 @@ func (s *Scheduler) Schedule(devices []DeviceState, boundMS float64) (*Plan, err
 	if s.cache == nil {
 		return s.scheduleCold(devices, boundMS)
 	}
-	key := s.planKey(devices, boundMS)
-	if hit := s.cache.get(key); hit != nil {
-		return hit, nil
-	}
-	plan, err := s.scheduleCold(devices, boundMS)
-	if err != nil {
-		return nil, err
-	}
-	// Pre-sort before sealing so every hit carries the start order and
-	// the serving loop never re-sorts.
-	plan.Order()
-	plan.seal()
-	s.cache.put(key, plan)
-	return plan, nil
+	return s.cache.memo(s.planKey(devices, boundMS), func() (*Plan, error) {
+		return s.scheduleCold(devices, boundMS)
+	})
 }
 
 // PlaceKernel plans a single kernel in isolation against the given device

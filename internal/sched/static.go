@@ -256,17 +256,9 @@ func (sp *StaticPlanner) Schedule(devices []DeviceState, boundMS float64) (*Plan
 	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(boundMS))
 	key = appendPlanKeyDevices(key, devices)
 	sp.keyBuf = key
-	if hit := sp.cache.get(key); hit != nil {
-		return hit, nil
-	}
-	plan, err := sp.scheduleCold(devices, boundMS)
-	if err != nil {
-		return nil, err
-	}
-	plan.Order()
-	plan.seal()
-	sp.cache.put(key, plan)
-	return plan, nil
+	return sp.cache.memo(key, func() (*Plan, error) {
+		return sp.scheduleCold(devices, boundMS)
+	})
 }
 
 func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*Plan, error) {
