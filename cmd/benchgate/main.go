@@ -84,7 +84,7 @@ func main() {
 
 	if *update {
 		b := Baseline{
-			Note:       "refresh: go test -bench 'Schedule$|Serve(SteadyState|HighLoad|BatchedHighLoad|TelemetryOn)$|FleetServe(Parallel)?$' -benchmem -count 6 -run '^$' ./internal/sched ./internal/runtime ./internal/fleet | go run ./cmd/benchgate -update",
+			Note:       "refresh: go test -bench 'Schedule$|Serve(SteadyState|HighLoad|BatchedHighLoad|TelemetryOn)$|FleetServe$' -benchmem -count 6 -run '^$' ./internal/sched ./internal/runtime ./internal/fleet | go run ./cmd/benchgate -update",
 			Benchmarks: current,
 		}
 		out, err := json.MarshalIndent(b, "", "  ")

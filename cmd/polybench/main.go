@@ -19,7 +19,6 @@ import (
 	"poly/internal/exp"
 	"poly/internal/parallel"
 	"poly/internal/prof"
-	"poly/internal/runtime"
 	"poly/internal/telemetry"
 )
 
@@ -31,29 +30,32 @@ func main() {
 		"worker-pool size for sweeps and DSE (0 = POLY_WORKERS or NumCPU, 1 = serial engine; output is identical at any size)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace JSON of every session the experiment runs (forces -workers 1)")
-	metricsOut := flag.String("metrics-out", "", "write the aggregated Prometheus metrics of every session the experiment runs (pool-safe: works at any -workers)")
+	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace JSON of every single-node session the experiment runs (forces -workers 1; fleet shards are not recorded)")
+	metricsOut := flag.String("metrics-out", "", "write the aggregated Prometheus metrics of every single-node session the experiment runs (pool-safe: works at any -workers; fleet shards are not recorded)")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
+	// The recorder is handed to the experiment, which attaches it to
+	// every single-node session it builds. Fleet shards never get it:
+	// one recorder cannot hold N nodes.
 	var rec *telemetry.Recorder
+	var sink telemetry.Sink
 	switch {
 	case *traceOut != "":
-		// Experiments build their sessions internally, so tracing goes
-		// through the process-wide default sink — and must run serial, or
-		// parallel sweeps would interleave their timelines in one recorder.
-		// (Metric recording itself is pool-safe; it is the per-session
-		// Perfetto tracks that cannot share a buffer across workers.)
+		// Tracing must run serial, or parallel sweeps would interleave
+		// their timelines in one recorder. (Metric recording itself is
+		// pool-safe; it is the per-session Perfetto tracks that cannot
+		// share a buffer across workers.)
 		fmt.Fprintln(os.Stderr,
 			"polybench: -trace-out forces a serial worker pool (POLY_WORKERS ignored); drop -trace-out for parallel sweeps")
 		parallel.SetWorkers(1)
 		rec = telemetry.New()
-		runtime.SetDefaultTelemetry(rec)
+		sink = rec
 	case *metricsOut != "":
 		// Metrics-only recording is safe under the parallel pool: counters
 		// and histograms accumulate correctly from any worker, and no
 		// per-session trace state exists to interleave.
 		rec = telemetry.NewWithOptions(telemetry.Options{MetricsOnly: true})
-		runtime.SetDefaultTelemetry(rec)
+		sink = rec
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -85,7 +87,7 @@ func main() {
 		n := 0
 		for _, e := range exp.List() {
 			t0 := time.Now()
-			r, err := exp.Run(e[0])
+			r, err := exp.Run(e[0], sink)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "polybench: %s: %v\n", e[0], err)
 				os.Exit(1)
@@ -99,7 +101,7 @@ func main() {
 		fmt.Printf("completed %d experiments in %s\n", n, time.Since(start).Round(time.Second))
 	case *run != "":
 		start := time.Now()
-		r, err := exp.Run(*run)
+		r, err := exp.Run(*run, sink)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "polybench:", err)
 			os.Exit(1)

@@ -45,7 +45,6 @@ func main() {
 	batchCap := flag.Int("batch", 0, "admission-batch group size cap (0 = planner's widest GPU batch; needs -batch-wait)")
 	nodes := flag.Int("nodes", 1, "fleet size: shard the cluster into N nodes behind the router (1 = direct single-node path)")
 	fleetPolicy := flag.String("fleet-policy", "binpack", "fleet routing policy: binpack, spread, or least-util (needs -nodes > 1)")
-	fleetSync := flag.String("fleet-sync", "parallel", "fleet shard synchronization: parallel (per-node simulators, epoch-stepped) or serial (one shared clock); results are bit-identical")
 	flag.Parse()
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
@@ -93,7 +92,7 @@ func main() {
 	}
 	if *nodes > 1 {
 		serveFleet(bench, fleetConfig{
-			nodes: *nodes, policyName: *fleetPolicy, syncName: *fleetSync,
+			nodes: *nodes, policyName: *fleetPolicy,
 			app: *app, setting: st.Name,
 			rps: *rps, durationMS: float64(duration.Milliseconds()),
 			seed: *seed, useTrace: *useTrace,
@@ -170,7 +169,6 @@ func main() {
 type fleetConfig struct {
 	nodes      int
 	policyName string
-	syncName   string
 	app        string
 	setting    string
 	rps        float64
@@ -195,10 +193,6 @@ func serveFleet(bench poly.Bench, cfg fleetConfig) {
 	if err != nil {
 		fail(err)
 	}
-	syncMode, err := fleet.ParseSyncMode(cfg.syncName)
-	if err != nil {
-		fail(err)
-	}
 	ropts := cfg.opts
 	if cfg.useTrace {
 		ropts.WarmupMS = 5_000
@@ -209,7 +203,7 @@ func serveFleet(bench poly.Bench, cfg fleetConfig) {
 		}
 	}
 	f, err := fleet.New(bench, fleet.Options{
-		Nodes: cfg.nodes, Policy: pol, Sync: syncMode,
+		Nodes: cfg.nodes, Policy: pol,
 		Runtime: ropts, WithTelemetry: cfg.telemetry,
 	})
 	if err != nil {
@@ -233,7 +227,7 @@ func serveFleet(bench poly.Bench, cfg fleetConfig) {
 		w.InjectPoisson(f, cfg.rps, 0, sim.Time(cfg.durationMS))
 	}
 	res := f.Collect()
-	fmt.Printf("%s on %d-node %s fleet (%s, %s sync):\n", cfg.app, cfg.nodes, bench.Arch, cfg.setting, f.Sync())
+	fmt.Printf("%s on %d-node %s fleet (%s):\n", cfg.app, cfg.nodes, bench.Arch, cfg.setting)
 	fmt.Println(indent(res.String(), "  "))
 }
 

@@ -126,8 +126,9 @@ func Build(s *sim.Simulator, plan Plan) *Node {
 }
 
 // BuildNamed is Build with every board name prefixed — how a multi-node
-// fleet assembles N shards on one shared simulator without board-name
-// collisions (shard i's boards become "n<i>/gpu0", "n<i>/fpga3", ...).
+// fleet keeps board names unique across its N shards (shard i's boards
+// become "n<i>/gpu0", "n<i>/fpga3", ...), so fault scripts and fault
+// seeds address one board of the fleet.
 // An empty prefix reproduces Build exactly, so a 1-node fleet keeps the
 // single-node board names and, with them, bit-identical plan-cache keys.
 func BuildNamed(s *sim.Simulator, plan Plan, prefix string) *Node {

@@ -8,6 +8,7 @@ import (
 	"poly/internal/cluster"
 	"poly/internal/parallel"
 	"poly/internal/runtime"
+	"poly/internal/telemetry"
 )
 
 // expBatchWaitMS is the staging max-wait the batching sweep enables —
@@ -89,14 +90,14 @@ func (r *BatchingResult) Render() string {
 
 // maxRPSBatched is maxRPS for Heter-Poly with the admission batcher on,
 // memoized under its own key (the batch wait is part of the signature).
-func maxRPSBatched(app string, waitMS float64) (float64, error) {
+func maxRPSBatched(tel telemetry.Sink, app string, waitMS float64) (float64, error) {
 	key := fmt.Sprintf("%s|Heter-Poly|%s|500|0|batchwait=%v", app, cluster.SettingI.Name, waitMS)
 	return maxRPSMemo.Do(key, func() (float64, error) {
 		b, err := benchFor(app, cluster.HeterPoly, cluster.SettingI)
 		if err != nil {
 			return 0, err
 		}
-		return b.MaxThroughputRPSWith(runtime.Options{BatchWaitMS: waitMS},
+		return b.MaxThroughputRPSWith(runtime.Options{BatchWaitMS: waitMS, Telemetry: tel},
 			searchCapRPS, probeDurationMS, probeSeed)
 	})
 }
@@ -105,16 +106,16 @@ func maxRPSBatched(app string, waitMS float64) (float64, error) {
 // batching off (shared with fig8 via the memo) and on, plus one
 // operating-point pair of serving runs at the unbatched maximum to
 // measure launch amortization and the tail with everything else equal.
-func batchingSweep() (Result, error) {
+func batchingSweep(tel telemetry.Sink) (Result, error) {
 	names := apps.Names()
 	rows, err := parallel.Map(len(names), func(i int) (BatchingRow, error) {
 		app := names[i]
 		row := BatchingRow{App: app}
-		off, err := maxRPS(app, cluster.HeterPoly, cluster.SettingI, 500, 0)
+		off, err := maxRPS(tel, app, cluster.HeterPoly, cluster.SettingI, 500, 0)
 		if err != nil {
 			return row, err
 		}
-		on, err := maxRPSBatched(app, expBatchWaitMS)
+		on, err := maxRPSBatched(tel, app, expBatchWaitMS)
 		if err != nil {
 			return row, err
 		}
@@ -126,11 +127,11 @@ func batchingSweep() (Result, error) {
 		if err != nil {
 			return row, err
 		}
-		rOff, err := b.ServeConstantLoadWith(runtime.Options{}, off, probeDurationMS, probeSeed)
+		rOff, err := probe(b, tel, off)
 		if err != nil {
 			return row, err
 		}
-		rOn, err := b.ServeConstantLoadWith(runtime.Options{BatchWaitMS: expBatchWaitMS},
+		rOn, err := b.ServeConstantLoadWith(runtime.Options{BatchWaitMS: expBatchWaitMS, Telemetry: tel},
 			off, probeDurationMS, probeSeed)
 		if err != nil {
 			return row, err

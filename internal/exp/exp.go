@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"poly/internal/cluster"
+	"poly/internal/telemetry"
 )
 
 // Series is one named curve (e.g. an architecture's tail latency vs load).
@@ -37,8 +38,17 @@ type Result interface {
 	Render() string
 }
 
-// Runner executes one experiment.
-type Runner func() (Result, error)
+// Runner executes one experiment. tel, when non-nil, is attached to
+// every single-node serving session the experiment builds — how
+// polybench -trace-out/-metrics-out record an experiment's sessions. A
+// traced sink must run with a serial worker pool, or parallel sweeps
+// would interleave their timelines in one recorder.
+type Runner func(tel telemetry.Sink) (Result, error)
+
+// withoutSink adapts an experiment that builds no serving session.
+func withoutSink(run func() (Result, error)) Runner {
+	return func(telemetry.Sink) (Result, error) { return run() }
+}
 
 // registry maps experiment IDs to runners, in registration order.
 var registry []struct {
@@ -57,28 +67,31 @@ func register(id, title string, r Runner) {
 
 func init() {
 	// Registration follows the paper's presentation order.
-	register("fig1a", "ASR tail latency vs load (motivation)", func() (Result, error) { return tailLatency("fig1a", "ASR") })
-	register("fig1b", "ASR energy proportionality (motivation)", func() (Result, error) { return powerScaling("fig1b", []string{"ASR"}) })
-	register("fig1c", "LSTM kernel Pareto frontiers", lstmPareto)
+	register("fig1a", "ASR tail latency vs load (motivation)", func(tel telemetry.Sink) (Result, error) {
+		return tailLatency(tel, "fig1a", "ASR")
+	})
+	register("fig1b", "ASR energy proportionality (motivation)", func(tel telemetry.Sink) (Result, error) {
+		return powerScaling(tel, "fig1b", []string{"ASR"})
+	})
+	register("fig1c", "LSTM kernel Pareto frontiers", withoutSink(lstmPareto))
 	register("fig1d", "efficiency vs utilization", efficiencyVsUtilization)
-	register("fig1ef", "ASR per-kernel breakdown", kernelBreakdown)
-	register("fig6", "ASR two-step schedule", scheduleASR)
-	register("table2", "per-kernel design spaces", designSpaces)
+	register("fig1ef", "ASR per-kernel breakdown", withoutSink(kernelBreakdown))
+	register("fig6", "ASR two-step schedule", withoutSink(scheduleASR))
+	register("table2", "per-kernel design spaces", withoutSink(designSpaces))
 	register("fig7", "tail latency, six apps", tailLatencyAll)
 	register("fig8", "maximum QoS throughput", maxThroughput)
 	register("fig8batch", "admission batching throughput sweep", batchingSweep)
-	register("fig9", "power scaling, three apps", func() (Result, error) {
-		return powerScaling("fig9", []string{"ASR", "FQT", "IR"})
+	register("fig9", "power scaling, three apps", func(tel telemetry.Sink) (Result, error) {
+		return powerScaling(tel, "fig9", []string{"ASR", "FQT", "IR"})
 	})
-	register("fig10", "energy proportionality, six apps", func() (Result, error) {
-		return powerScaling("fig10", appNames())
+	register("fig10", "energy proportionality, six apps", func(tel telemetry.Sink) (Result, error) {
+		return powerScaling(tel, "fig10", appNames())
 	})
-	register("fig11", "24 h utilization trace", traceFigure)
+	register("fig11", "24 h utilization trace", withoutSink(traceFigure))
 	register("fig12", "trace replay power savings", traceReplay)
 	register("qos", "trace replay QoS violations", qosViolations)
 	register("fleet", "multi-node fleet diurnal replay, per routing policy", fleetReplay)
-	register("fleetscale", "parallel fleet drain wall-clock, nodes × workers grid", fleetScale)
-	register("accuracy", "analytical model vs device simulator", modelAccuracy)
+	register("accuracy", "analytical model vs device simulator", withoutSink(modelAccuracy))
 	register("fig13", "architecture scalability (power splits)", archScalability)
 	register("fig14", "cost efficiency (TCO)", costEfficiency)
 }
@@ -92,11 +105,12 @@ func List() [][2]string {
 	return out
 }
 
-// Run executes one experiment by ID.
-func Run(id string) (Result, error) {
+// Run executes one experiment by ID, recording its single-node serving
+// sessions into tel when it is non-nil (see Runner).
+func Run(id string, tel telemetry.Sink) (Result, error) {
 	for _, e := range registry {
 		if e.id == id {
-			return e.runner()
+			return e.runner(tel)
 		}
 	}
 	return nil, fmt.Errorf("exp: unknown experiment %q (try one of %s)", id, strings.Join(ids(), ", "))
@@ -111,11 +125,11 @@ func ids() []string {
 }
 
 // RunAll executes every experiment in registration order, stopping on the
-// first error.
-func RunAll() ([]Result, error) {
+// first error, with tel as in Run.
+func RunAll(tel telemetry.Sink) ([]Result, error) {
 	var out []Result
 	for _, e := range registry {
-		r, err := e.runner()
+		r, err := e.runner(tel)
 		if err != nil {
 			return out, fmt.Errorf("exp: %s: %w", e.id, err)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"poly/internal/apps"
 	"poly/internal/parallel"
+	"poly/internal/telemetry"
 )
 
 func TestRegistryComplete(t *testing.T) {
@@ -23,13 +24,13 @@ func TestRegistryComplete(t *testing.T) {
 			t.Errorf("experiment %q not registered", id)
 		}
 	}
-	if _, err := Run("bogus"); err == nil {
+	if _, err := Run("bogus", nil); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
 func TestLSTMParetoExperiment(t *testing.T) {
-	r, err := Run("fig1c")
+	r, err := Run("fig1c", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestLSTMParetoExperiment(t *testing.T) {
 }
 
 func TestKernelBreakdownExperiment(t *testing.T) {
-	r, err := Run("fig1ef")
+	r, err := Run("fig1ef", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestKernelBreakdownExperiment(t *testing.T) {
 }
 
 func TestScheduleExperiment(t *testing.T) {
-	r, err := Run("fig6")
+	r, err := Run("fig6", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestScheduleExperiment(t *testing.T) {
 }
 
 func TestDesignSpacesExperiment(t *testing.T) {
-	r, err := Run("table2")
+	r, err := Run("table2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestDesignSpacesExperiment(t *testing.T) {
 }
 
 func TestTraceExperiment(t *testing.T) {
-	r, err := Run("fig11")
+	r, err := Run("fig11", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestTraceExperiment(t *testing.T) {
 }
 
 func TestModelAccuracyExperiment(t *testing.T) {
-	r, err := Run("accuracy")
+	r, err := Run("accuracy", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func renderAt(t *testing.T, id string, workers int) string {
 	t.Helper()
 	parallel.SetWorkers(workers)
 	ResetCaches()
-	r, err := Run(id)
+	r, err := Run(id, nil)
 	if err != nil {
 		t.Fatalf("%s with workers=%d: %v", id, workers, err)
 	}
@@ -202,6 +203,39 @@ func TestParallelSweepDeterminism(t *testing.T) {
 			t.Fatalf("fig1a render differs at workers=4:\n--- serial ---\n%s--- workers=4 ---\n%s", serial, par)
 		}
 	})
+}
+
+// TestExperimentSinkRecordsSessions: the sink handed to Run reaches the
+// single-node serving sessions an experiment builds. fig1d, the cheapest
+// serving experiment, must fill a pool-safe metrics recorder with spans,
+// node and board resource gauges, stage attribution, and SLO burn state.
+func TestExperimentSinkRecordsSessions(t *testing.T) {
+	defer func() {
+		parallel.SetWorkers(0)
+		ResetCaches()
+	}()
+	parallel.SetWorkers(2)
+	ResetCaches()
+	rec := telemetry.NewWithOptions(telemetry.Options{MetricsOnly: true})
+	if _, err := Run("fig1d", rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.SpanTotal() == 0 {
+		t.Fatal("fig1d recorded no spans into the experiment sink")
+	}
+	var buf strings.Builder
+	if err := rec.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`poly_node_allocatable{resource="compute_slots"}`, "poly_board_allocatable{",
+		`poly_stage_latency_ms_count{stage="exec"}`, "poly_slo_burn_rate{",
+		"poly_plan_cache_hits_total",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition lacks %s", want)
+		}
+	}
 }
 
 func TestGeomeanAndHelpers(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"poly/internal/parallel"
 	"poly/internal/runtime"
 	"poly/internal/sim"
+	"poly/internal/telemetry"
 )
 
 // fleetNodes is the sharded-cluster size of the fleet experiment: the
@@ -60,10 +61,13 @@ func (r *FleetResult) Render() string {
 // fleetReplay drives the Section VI-C trace through the multi-node
 // router: the fleet serves N nodes' worth of the fig12 load, and each
 // policy faces the identical arrival stream (same workload seed), so
-// the rows differ only by placement decisions.
-func fleetReplay() (Result, error) {
+// the rows differ only by placement decisions. tel records only the
+// single-node max-throughput probe; the fleet itself gets no sink: a
+// recorder keys node gauges by resource alone, so one sink cannot hold
+// N shards (fleet.New rejects a shared one).
+func fleetReplay(tel telemetry.Sink) (Result, error) {
 	tr := Synth24h()
-	polyMax, err := maxRPS("ASR", cluster.HeterPoly, cluster.SettingI, 500, 0)
+	polyMax, err := maxRPS(tel, "ASR", cluster.HeterPoly, cluster.SettingI, 500, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,7 @@ import (
 	"poly/internal/metrics"
 	"poly/internal/parallel"
 	"poly/internal/sim"
+	"poly/internal/telemetry"
 )
 
 // ------------------------------------------------------------- fig13
@@ -53,7 +54,7 @@ func (r *ScalabilityResult) BestSplit(setting string) (share, rps float64) {
 	return share, rps
 }
 
-func archScalability() (Result, error) {
+func archScalability(tel telemetry.Sink) (Result, error) {
 	res := &ScalabilityResult{
 		id:     "fig13",
 		Splits: []float64{0, 0.2, 0.4, 0.6, 0.8, 1.0},
@@ -68,11 +69,11 @@ func archScalability() (Result, error) {
 		split := res.Splits[idx%len(res.Splits)]
 		switch split {
 		case 0:
-			return maxRPS("ASR", cluster.HomoFPGA, setting, 1000, 0)
+			return maxRPS(tel, "ASR", cluster.HomoFPGA, setting, 1000, 0)
 		case 1.0:
-			return maxRPS("ASR", cluster.HomoGPU, setting, 1000, 0)
+			return maxRPS(tel, "ASR", cluster.HomoGPU, setting, 1000, 0)
 		default:
-			return maxRPS("ASR", cluster.HeterPoly, setting, 1000, split)
+			return maxRPS(tel, "ASR", cluster.HeterPoly, setting, 1000, split)
 		}
 	})
 	if err != nil {
@@ -114,7 +115,7 @@ func (r *CostEfficiencyResult) Render() string {
 	return b.String()
 }
 
-func costEfficiency() (Result, error) {
+func costEfficiency(tel telemetry.Sink) (Result, error) {
 	res := &CostEfficiencyResult{
 		id:        "fig14",
 		RPSPerUSD: map[string]map[string]float64{},
@@ -129,7 +130,7 @@ func costEfficiency() (Result, error) {
 	}
 	grid, err := parallel.Map(len(settings)*len(archs), func(idx int) (cell, error) {
 		setting, arch := settings[idx/len(archs)], archs[idx%len(archs)]
-		m, err := maxRPS("ASR", arch, setting, 500, 0)
+		m, err := maxRPS(tel, "ASR", arch, setting, 500, 0)
 		if err != nil {
 			return cell{}, err
 		}
@@ -138,7 +139,7 @@ func costEfficiency() (Result, error) {
 		if err != nil {
 			return cell{}, err
 		}
-		half, err := b.ServeConstantLoad(0.5*m, probeDurationMS, probeSeed)
+		half, err := probe(b, tel, 0.5*m)
 		if err != nil {
 			return cell{}, err
 		}

@@ -13,6 +13,7 @@ import (
 	"poly/internal/parallel"
 	"poly/internal/runtime"
 	"poly/internal/sched"
+	"poly/internal/telemetry"
 )
 
 // Experiment pacing: probe durations are long enough for stable p99s but
@@ -53,7 +54,11 @@ func ResetCaches() {
 	core.ResetExplorations()
 }
 
-func maxRPS(app string, arch cluster.Architecture, setting cluster.Setting, capW, gpuShare float64) (float64, error) {
+// maxRPS is the memoized QoS-throughput search. tel, when non-nil,
+// records the search's probe sessions — once, for whichever experiment
+// asks first; later askers reuse the memoized maximum and record
+// nothing.
+func maxRPS(tel telemetry.Sink, app string, arch cluster.Architecture, setting cluster.Setting, capW, gpuShare float64) (float64, error) {
 	key := fmt.Sprintf("%s|%v|%s|%v|%v", app, arch, setting.Name, capW, gpuShare)
 	return maxRPSMemo.Do(key, func() (float64, error) {
 		b, err := benchFor(app, arch, setting)
@@ -62,8 +67,14 @@ func maxRPS(app string, arch cluster.Architecture, setting cluster.Setting, capW
 		}
 		b.PowerCapW = capW
 		b.GPUShare = gpuShare
-		return b.MaxThroughputRPS(searchCapRPS, probeDurationMS, probeSeed)
+		return b.MaxThroughputRPSWith(runtime.Options{Telemetry: tel}, searchCapRPS, probeDurationMS, probeSeed)
 	})
+}
+
+// probe serves one constant-load point of an experiment grid, recording
+// the session into tel when it is non-nil.
+func probe(b runtime.Bench, tel telemetry.Sink, rps float64) (runtime.Result, error) {
+	return b.ServeConstantLoadWith(runtime.Options{Telemetry: tel}, rps, probeDurationMS, probeSeed)
 }
 
 // ---------------------------------------------------------------- fig1a
@@ -101,10 +112,10 @@ func (r *TailLatencyResult) Render() string {
 // tailLatency sweeps offered load for one app on Setting-I. The
 // (architecture × load) grid fans out across the worker pool; cells are
 // collected by index, so the assembled curves match a serial sweep.
-func tailLatency(id, app string) (*TailLatencyResult, error) {
+func tailLatency(tel telemetry.Sink, id, app string) (*TailLatencyResult, error) {
 	res := &TailLatencyResult{id: id, App: app, MaxRPS: map[string]float64{}}
 	// Load grid: fractions of the Poly max, the paper's x-axis convention.
-	polyMax, err := maxRPS(app, cluster.HeterPoly, cluster.SettingI, 500, 0)
+	polyMax, err := maxRPS(tel, app, cluster.HeterPoly, cluster.SettingI, 500, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -120,7 +131,7 @@ func tailLatency(id, app string) (*TailLatencyResult, error) {
 			return cell{}, err
 		}
 		rps := f * polyMax
-		r, err := b.ServeConstantLoad(rps, probeDurationMS, probeSeed)
+		r, err := probe(b, tel, rps)
 		if err != nil {
 			return cell{}, err
 		}
@@ -130,7 +141,7 @@ func tailLatency(id, app string) (*TailLatencyResult, error) {
 		return nil, err
 	}
 	maxes, err := parallel.Map(len(archs), func(i int) (float64, error) {
-		return maxRPS(app, archs[i], cluster.SettingI, 500, 0)
+		return maxRPS(tel, app, archs[i], cluster.SettingI, 500, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -208,7 +219,7 @@ func (r *PowerScalingResult) MeanEP(arch string) float64 {
 // (app × architecture) grid fans out across the worker pool; each cell's
 // load sweep stays sequential, and the per-app curve lists are assembled
 // in grid order so the result matches a serial run.
-func powerScaling(id string, appNames []string) (*PowerScalingResult, error) {
+func powerScaling(tel telemetry.Sink, id string, appNames []string) (*PowerScalingResult, error) {
 	res := &PowerScalingResult{
 		id:     id,
 		Apps:   appNames,
@@ -223,7 +234,7 @@ func powerScaling(id string, appNames []string) (*PowerScalingResult, error) {
 	}
 	cells, err := parallel.Map(len(appNames)*len(archs), func(idx int) (cell, error) {
 		app, arch := appNames[idx/len(archs)], archs[idx%len(archs)]
-		m, err := maxRPS(app, arch, cluster.SettingI, 500, 0)
+		m, err := maxRPS(tel, app, arch, cluster.SettingI, 500, 0)
 		if err != nil {
 			return cell{}, err
 		}
@@ -233,7 +244,7 @@ func powerScaling(id string, appNames []string) (*PowerScalingResult, error) {
 		}
 		s := Series{Name: arch.String()}
 		for _, l := range loads {
-			r, err := b.ServeConstantLoad(l*m, probeDurationMS, probeSeed)
+			r, err := probe(b, tel, l*m)
 			if err != nil {
 				return cell{}, err
 			}
@@ -343,12 +354,12 @@ func (r *EfficiencyResult) Render() string {
 	return b.String()
 }
 
-func efficiencyVsUtilization() (Result, error) {
+func efficiencyVsUtilization(tel telemetry.Sink) (Result, error) {
 	res := &EfficiencyResult{id: "fig1d"}
 	loads := []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 	archs := Archs()
 	maxes, err := parallel.Map(len(archs), func(i int) (float64, error) {
-		return maxRPS("ASR", archs[i], cluster.SettingI, 500, 0)
+		return maxRPS(tel, "ASR", archs[i], cluster.SettingI, 500, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -360,7 +371,7 @@ func efficiencyVsUtilization() (Result, error) {
 		if err != nil {
 			return 0, err
 		}
-		r, err := b.ServeConstantLoad(l*maxes[idx/len(loads)], probeDurationMS, probeSeed)
+		r, err := probe(b, tel, l*maxes[idx/len(loads)])
 		if err != nil {
 			return 0, err
 		}
@@ -576,7 +587,7 @@ func (r *ThroughputResult) Improvement(over string) float64 {
 	return r.MeanNorm["Heter-Poly"]/r.MeanNorm[over] - 1
 }
 
-func maxThroughput() (Result, error) {
+func maxThroughput(tel telemetry.Sink) (Result, error) {
 	res := &ThroughputResult{
 		id:         "fig8",
 		RPS:        map[string]map[string]float64{},
@@ -588,7 +599,7 @@ func maxThroughput() (Result, error) {
 	// them out, then run the normalization serially over the ordered grid.
 	names, archs := apps.Names(), Archs()
 	grid, err := parallel.Map(len(names)*len(archs), func(idx int) (float64, error) {
-		return maxRPS(names[idx/len(archs)], archs[idx%len(archs)], cluster.SettingI, 500, 0)
+		return maxRPS(tel, names[idx/len(archs)], archs[idx%len(archs)], cluster.SettingI, 500, 0)
 	})
 	if err != nil {
 		return nil, err
@@ -715,10 +726,10 @@ func scheduleASR() (Result, error) {
 // tailLatencyAll is Fig. 7: the per-app tail-latency sweeps. Apps run
 // sequentially — each per-app sweep already fans its 24-cell grid plus
 // maxRPS searches out across the pool — and Parts keeps Table II order.
-func tailLatencyAll() (Result, error) {
+func tailLatencyAll(tel telemetry.Sink) (Result, error) {
 	agg := &MultiResult{id: "fig7"}
 	for _, app := range apps.Names() {
-		r, err := tailLatency("fig7:"+app, app)
+		r, err := tailLatency(tel, "fig7:"+app, app)
 		if err != nil {
 			return nil, err
 		}

@@ -9,6 +9,7 @@ import (
 	"poly/internal/parallel"
 	"poly/internal/runtime"
 	"poly/internal/sim"
+	"poly/internal/telemetry"
 	"poly/internal/trace"
 )
 
@@ -108,7 +109,7 @@ func (r *TraceReplayResult) PowerSaving(over string) float64 {
 	return 1 - r.AvgPowerW["Heter-Poly"]/r.AvgPowerW[over]
 }
 
-func traceReplay() (Result, error) {
+func traceReplay(tel telemetry.Sink) (Result, error) {
 	tr := Synth24h()
 	res := &TraceReplayResult{
 		id:        "fig12",
@@ -122,7 +123,7 @@ func traceReplay() (Result, error) {
 	// own maximum, mirroring the paper's "directly use the same
 	// utilization value" for all three platforms — here scaled by the
 	// Poly maximum so all three serve the identical request stream.
-	polyMax, err := maxRPS("ASR", cluster.HeterPoly, cluster.SettingI, 500, 0)
+	polyMax, err := maxRPS(tel, "ASR", cluster.HeterPoly, cluster.SettingI, 500, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +145,7 @@ func traceReplay() (Result, error) {
 		if err != nil {
 			return replay{}, err
 		}
-		sv, _, err := b.NewSession(runtime.Options{WarmupMS: 10_000})
+		sv, _, err := b.NewSession(runtime.Options{WarmupMS: 10_000, Telemetry: tel})
 		if err != nil {
 			return replay{}, err
 		}
@@ -171,8 +172,8 @@ func traceReplay() (Result, error) {
 }
 
 // qosViolations reuses the replay and reports the QoS side (Section VI-C).
-func qosViolations() (Result, error) {
-	r, err := traceReplay()
+func qosViolations(tel telemetry.Sink) (Result, error) {
+	r, err := traceReplay(tel)
 	if err != nil {
 		return nil, err
 	}

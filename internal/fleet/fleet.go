@@ -7,24 +7,20 @@
 // allocated/allocatable/utilization signals the telemetry resource
 // gauges export.
 //
-// Two synchronization modes drive the shards (Options.Sync). SyncSerial
-// runs every shard on ONE shared simulator clock — the reference
-// semantics. SyncParallel (the default) gives each shard its own
-// simulator and runs them concurrently on the internal/parallel worker
-// pool, lock-stepped by a conservative epoch coordinator: the router is
-// the only cross-shard edge, every arrival time is known at injection,
-// so shards can safely advance in parallel up to the next routed
-// arrival, stop on a (time, sequence) barrier, and let the router place
-// that arrival serially before the next epoch (see parallel.go).
+// Every shard runs on its own simulator, and Collect steps them all on
+// the caller in epochs: the router is the only cross-shard edge and
+// every arrival time is known at injection, so the shards advance up to
+// the next routed arrival, stop on a (time, sequence) barrier, and the
+// router places that arrival before the next epoch (see drain).
 //
-// Determinism: in both modes placements, per-node outcomes, and the
-// aggregate are pure functions of the arrival trace — bit-identical
-// across modes and at any internal/parallel pool size, enforced by
-// TestFleetParallelBitIdentity. Router bit-transparency: a 1-node fleet
-// assembles the identical node (empty board-name prefix) and fires the
-// identical event sequence as a direct runtime.Server session, enforced
-// by TestFleetRouterBitTransparency the same way the telemetry, fault,
-// and batching layers are gated.
+// Determinism: placements, per-node outcomes, and the aggregate are pure
+// functions of the arrival trace, bit-identical to running every shard
+// on one shared simulator clock — the semantics the test-only oracle
+// keeps executable, enforced by TestFleetParallelBitIdentity. Router
+// bit-transparency: a 1-node fleet assembles the identical node (empty
+// board-name prefix) and fires the identical event sequence as a direct
+// runtime.Server session, enforced by TestFleetRouterBitTransparency the
+// same way the telemetry, fault, and batching layers are gated.
 //
 // Node count is an actuator: SetTargetNodes drains shards from the top
 // so a trace-driven autoscaler can scale the serving fleet against load
@@ -34,6 +30,7 @@ package fleet
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"poly/internal/cluster"
@@ -46,10 +43,6 @@ import (
 type Options struct {
 	// Nodes is the shard count (1 if zero).
 	Nodes int
-	// Sync selects how shard clocks are driven: SyncParallel (zero
-	// value) runs per-shard simulators concurrently under the epoch
-	// coordinator; SyncSerial runs all shards on one shared clock.
-	Sync SyncMode
 	// Policy is the router's placement policy (Binpack if zero).
 	Policy Policy
 	// NodeCapsW optionally skews per-node power caps (and with them
@@ -57,8 +50,9 @@ type Options struct {
 	// zero entry keeps the bench default. Len may be shorter than Nodes.
 	NodeCapsW []float64
 	// Runtime is the per-shard server configuration. Runtime.Telemetry
-	// must be nil — a single sink cannot hold N nodes' gauges; set
-	// WithTelemetry to give every shard its own recorder instead.
+	// must be nil — a recorder keys its node gauges by resource alone,
+	// so one sink cannot hold N nodes; set WithTelemetry to give every
+	// shard its own recorder instead.
 	Runtime runtime.Options
 	// WithTelemetry attaches a dedicated telemetry.Recorder to every
 	// shard (reachable via Recorder), plus a fleet-level rollup
@@ -70,8 +64,8 @@ type Options struct {
 type shard struct {
 	idx  int
 	name string
-	// sim is the clock the shard's events run on: the fleet's shared
-	// simulator in serial mode, the shard's own in parallel mode.
+	// sim is the clock the shard's events run on: its own, except
+	// under the shared-clock test oracle.
 	sim  *sim.Simulator
 	node *cluster.Node
 	srv  *runtime.Server
@@ -85,17 +79,13 @@ type shard struct {
 // runtime.ArrivalTarget, so the same Workload generators that drive a
 // single server drive a fleet.
 type Fleet struct {
-	mode SyncMode
-	// sim is the shared clock in serial mode; nil in parallel mode,
-	// where each shard owns its simulator.
-	sim    *sim.Simulator
 	shards []*shard
 	policy Policy
 
-	// arrivals collects injected arrival times in parallel mode; the
-	// coordinator stable-sorts them at Collect (preserving injection
-	// order among equal times, matching the shared clock's FIFO rule)
-	// and routes them epoch by epoch. cursor is the next unrouted index.
+	// arrivals collects injected arrival times; drain stable-sorts them
+	// at Collect (preserving injection order among equal times, the
+	// shared clock's FIFO rule) and routes them epoch by epoch. cursor
+	// is the next unrouted index.
 	arrivals []sim.Time
 	cursor   int
 
@@ -104,9 +94,8 @@ type Fleet struct {
 	// scratch is the router's reusable candidate buffer.
 	scratch []candidate
 
-	// pending counts injected arrivals whose routing event has not
-	// fired yet; the drain loop runs while any shard or this counter is
-	// non-empty.
+	// pending counts injected arrivals not yet routed; the drain loop
+	// runs while any shard or this counter is non-empty.
 	pending        int
 	injected       int
 	shed           int
@@ -116,12 +105,18 @@ type Fleet struct {
 	rollup *telemetry.FleetRollup
 }
 
-// New provisions a fleet of opts.Nodes shards of the given bench — on
-// one fresh shared simulator in serial mode, on a fresh simulator per
-// shard in parallel mode. With Nodes == 1 the shard is assembled exactly
+// New provisions a fleet of opts.Nodes shards of the given bench, each
+// on a fresh simulator. With Nodes == 1 the shard is assembled exactly
 // like a direct session (empty board-name prefix), which the router
 // bit-transparency gate relies on.
 func New(b runtime.Bench, opts Options) (*Fleet, error) {
+	return newFleet(b, opts, nil)
+}
+
+// newFleet is New with every shard on the shared simulator when one is
+// given — the seam the shared-clock test oracle builds its reference
+// fleet through. Collect's drain needs a simulator per shard.
+func newFleet(b runtime.Bench, opts Options, shared *sim.Simulator) (*Fleet, error) {
 	n := opts.Nodes
 	if n <= 0 {
 		n = 1
@@ -129,21 +124,9 @@ func New(b runtime.Bench, opts Options) (*Fleet, error) {
 	if opts.Runtime.Telemetry != nil {
 		return nil, fmt.Errorf("fleet: Runtime.Telemetry must be nil (use WithTelemetry for per-shard recorders)")
 	}
-	mode := opts.Sync
-	if mode == SyncParallel && runtime.HasDefaultTelemetry() {
-		// A process-wide fallback sink would be shared by every shard;
-		// it cannot absorb concurrent timelines, so fall back to the
-		// shared clock. Semantics are unchanged (the modes are
-		// bit-identical); only wall-clock parallelism is lost.
-		mode = SyncSerial
-	}
 	f := &Fleet{
-		mode:       mode,
 		policy:     opts.Policy,
 		placements: make([]int, n),
-	}
-	if mode == SyncSerial {
-		f.sim = sim.New()
 	}
 	if opts.WithTelemetry {
 		f.rollup = telemetry.NewFleetRollup()
@@ -158,7 +141,7 @@ func New(b runtime.Bench, opts Options) (*Fleet, error) {
 			bi.PowerCapW = opts.NodeCapsW[i]
 		}
 		ro := opts.Runtime
-		sh := &shard{idx: i, name: fmt.Sprintf("n%d", i), sim: f.sim}
+		sh := &shard{idx: i, name: fmt.Sprintf("n%d", i), sim: shared}
 		if sh.sim == nil {
 			sh.sim = sim.New()
 		}
@@ -181,14 +164,6 @@ func New(b runtime.Bench, opts Options) (*Fleet, error) {
 
 // Nodes returns the shard count.
 func (f *Fleet) Nodes() int { return len(f.shards) }
-
-// Sync returns the fleet's synchronization mode (after any construction-
-// time downgrade to serial).
-func (f *Fleet) Sync() SyncMode { return f.mode }
-
-// Sim returns the shared simulator clock in serial mode; nil in parallel
-// mode, where each shard owns its clock.
-func (f *Fleet) Sim() *sim.Simulator { return f.sim }
 
 // Server returns shard i's server (panics on a bad index, like a slice).
 func (f *Fleet) Server(i int) *runtime.Server { return f.shards[i].srv }
@@ -235,33 +210,21 @@ func (f *Fleet) ActiveNodes() int {
 	return n
 }
 
-// Inject schedules one arrival at the given absolute time; the routing
-// decision is deferred to the arrival instant so it reads the fleet's
-// live state. In serial mode the router rides the shared clock as an
-// event; in parallel mode the time is recorded for the epoch
-// coordinator, which routes it between epochs. Implements
-// runtime.ArrivalTarget.
+// Inject records one arrival at the given absolute time. The routing
+// decision is deferred to the arrival instant, when Collect's drain has
+// stopped every shard's clock there, so it reads the fleet's live
+// state. Implements runtime.ArrivalTarget.
 func (f *Fleet) Inject(at sim.Time) {
 	f.pending++
-	if f.mode == SyncSerial {
-		f.sim.AtCall(at, fireRoute, f)
-		return
-	}
 	f.arrivals = append(f.arrivals, at)
-}
-
-// fireRoute is one arrival's routing event on the serial shared clock.
-func fireRoute(_ sim.Time, a any) {
-	a.(*Fleet).routeOne()
 }
 
 // routeOne routes a single arrival at the current instant: pick a node
 // by policy and health, hand the arrival to its server, or shed it at
 // the fleet when no node is eligible (the fast-rejection rationale of
-// admission shedding, lifted to the cluster). In parallel mode the
-// coordinator calls it with every shard's clock stopped at the arrival
-// time, so the policy reads the same signals it would on a shared
-// clock.
+// admission shedding, lifted to the cluster). The drain calls it with
+// every shard's clock stopped at the arrival time, so the policy reads
+// the same signals it would on a shared clock.
 func (f *Fleet) routeOne() {
 	f.pending--
 	f.injected++
@@ -353,24 +316,69 @@ func (r Result) String() string {
 
 // Collect drains the fleet until every shard is idle, then summarizes
 // each shard and the aggregate. Call once, after all arrivals are
-// injected. The drain loop advances in governor-period steps exactly
-// like Server.Collect — for a 1-node fleet it reduces to the identical
-// RunUntil sequence, which the bit-transparency gate checks. In
-// parallel mode the epoch coordinator reproduces the same sequence per
-// shard (see drainParallel), so results are bit-identical across modes.
+// injected.
 func (f *Fleet) Collect() Result {
-	period := sim.Time(f.shards[0].srv.GovernorPeriodMS())
-	if f.mode == SyncSerial {
-		horizon := f.sim.Now() + period
-		for !f.drained() {
-			f.sim.RunUntil(horizon)
-			horizon += period
-		}
-		f.sim.RunUntil(horizon)
-	} else {
-		f.drainParallel(period)
-	}
+	f.drain()
+	return f.result()
+}
 
+// drain is the fleet's drain loop. The router is the only cross-shard
+// edge and every arrival time is known before Collect, so the lookahead
+// is exact: between two consecutive routed arrivals, every shard's
+// events are independent, and each shard can be stepped to the next
+// arrival on its own simulator, one after another.
+//
+// Bit-identity with one shared clock hinges on event ordering at the
+// arrival instant itself. On a shared simulator the routing event would
+// be scheduled at injection time — before the run — so at its firing
+// time t it precedes every event the run schedules at t (larger sequence
+// numbers) but follows pre-run events at t (smaller ones, e.g. the
+// construction-scheduled first governor tick). A per-shard sequence
+// barrier reproduces that interleaving: marks snapshot each shard's next
+// sequence number before any event fires, so RunUntilBarrier(t, mark)
+// fires exactly the events that would have preceded the routing event at
+// t, the router then places the arrivals at t in injection order (the
+// shared clock's FIFO rule), and the next advance releases the
+// run-scheduled events at t. The horizons replay Server.Collect's
+// governor-period sequence per shard, so final clocks and power-sample
+// times match bit-exactly — for a 1-node fleet, those of a direct
+// session, which the bit-transparency gate checks.
+func (f *Fleet) drain() {
+	marks := make([]uint64, len(f.shards))
+	for i, sh := range f.shards {
+		marks[i] = sh.sim.SeqMark()
+	}
+	sort.SliceStable(f.arrivals, func(i, j int) bool { return f.arrivals[i] < f.arrivals[j] })
+	period := sim.Time(f.shards[0].srv.GovernorPeriodMS())
+	horizon := f.shards[0].sim.Now() + period
+	for !f.drained() {
+		f.advanceTo(marks, horizon)
+		horizon += period
+	}
+	f.advanceTo(marks, horizon)
+}
+
+// advanceTo drives every shard to horizon h: for each arrival time t <=
+// h, barrier-advance all shards to t and route the arrivals at t; then
+// advance all shards fully to h.
+func (f *Fleet) advanceTo(marks []uint64, h sim.Time) {
+	for f.cursor < len(f.arrivals) && f.arrivals[f.cursor] <= h {
+		t := f.arrivals[f.cursor]
+		for i, sh := range f.shards {
+			sh.sim.RunUntilBarrier(t, marks[i])
+		}
+		for f.cursor < len(f.arrivals) && f.arrivals[f.cursor] == t {
+			f.routeOne()
+			f.cursor++
+		}
+	}
+	for _, sh := range f.shards {
+		sh.sim.RunUntil(h)
+	}
+}
+
+// result summarizes every shard and the aggregate after a drain.
+func (f *Fleet) result() Result {
 	res := Result{
 		Nodes:          len(f.shards),
 		Policy:         f.policy.String(),

@@ -496,9 +496,20 @@ func TestFleetTelemetryRollup(t *testing.T) {
 	}
 
 	// A shared Sink across shards is a configuration error, not a silent
-	// corruption.
-	if _, err := New(b, Options{Nodes: 2, Runtime: runtime.Options{Telemetry: f.Recorder(0)}}); err == nil {
-		t.Fatal("New accepted a shared Runtime.Telemetry sink")
+	// corruption — on every construction path: any node count, next to
+	// per-shard recorders, and through the shared-clock seam.
+	shared := runtime.Options{Telemetry: f.Recorder(0)}
+	for _, o := range []Options{
+		{Nodes: 2, Runtime: shared},
+		{Nodes: 1, Runtime: shared},
+		{Nodes: 2, Runtime: shared, WithTelemetry: true},
+	} {
+		if _, err := New(b, o); err == nil {
+			t.Fatalf("New accepted a shared Runtime.Telemetry sink (%d nodes, WithTelemetry %v)", o.Nodes, o.WithTelemetry)
+		}
+		if _, err := newFleet(b, o, sim.New()); err == nil {
+			t.Fatalf("newFleet accepted a shared Runtime.Telemetry sink (%d nodes, WithTelemetry %v)", o.Nodes, o.WithTelemetry)
+		}
 	}
 }
 
@@ -555,25 +566,9 @@ func TestLeastUtilizedTieBreaks(t *testing.T) {
 // BenchmarkFleetServe is the fleet-path cost benchmark CI gates: a
 // 4-node fleet behind the least-util router serving the same per-node
 // rate as BenchmarkServeSteadyState. The delta against 4× the steady-
-// state cost is what routing and multi-shard assembly add. Pinned to
-// the serial shared clock so the number keeps meaning "fleet layer
-// overhead"; BenchmarkFleetServeParallel measures the same run under
-// the epoch coordinator.
+// state cost is what routing, multi-shard assembly and the epoch drain
+// add.
 func BenchmarkFleetServe(b *testing.B) {
-	benchmarkFleetServe(b, SyncSerial)
-}
-
-// BenchmarkFleetServeParallel is BenchmarkFleetServe under the default
-// parallel sync mode: per-shard simulators advanced concurrently by the
-// epoch coordinator. CI's bench gate asserts its ns/op does not exceed
-// the serial benchmark's (the multi-core speedup claim); on a
-// single-core runner it degrades to the serial path plus coordinator
-// bookkeeping.
-func BenchmarkFleetServeParallel(b *testing.B) {
-	benchmarkFleetServe(b, SyncParallel)
-}
-
-func benchmarkFleetServe(b *testing.B, mode SyncMode) {
 	bench := asrBench(b)
 	const (
 		rps        = 160.0
@@ -582,7 +577,7 @@ func benchmarkFleetServe(b *testing.B, mode SyncMode) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f, err := New(bench, Options{Nodes: 4, Policy: LeastUtil, Sync: mode,
+		f, err := New(bench, Options{Nodes: 4, Policy: LeastUtil,
 			Runtime: runtime.Options{WarmupMS: 1000}})
 		if err != nil {
 			b.Fatal(err)

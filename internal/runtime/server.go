@@ -76,22 +76,6 @@ type Options struct {
 	BatchCap int
 }
 
-// defaultTelemetry, when set, is attached to every server built without
-// an explicit Options.Telemetry — how polybench records a trace of the
-// sessions its experiments construct internally. Set it once, before any
-// session exists, and only with a serial worker pool (parallel sweeps
-// would interleave their sessions' timelines in one recorder).
-var defaultTelemetry telemetry.Sink
-
-// SetDefaultTelemetry installs a process-wide fallback telemetry sink.
-func SetDefaultTelemetry(s telemetry.Sink) { defaultTelemetry = s }
-
-// HasDefaultTelemetry reports whether a process-wide fallback sink is
-// installed. The parallel fleet coordinator checks it: one shared sink
-// cannot absorb N concurrent shard timelines, so a fleet downgrades to
-// serial synchronization while a default sink is recording.
-func HasDefaultTelemetry() bool { return defaultTelemetry != nil }
-
 // defaultRestoreSlack is the planning headroom the governor restores in
 // calm windows (mirrors the scheduler's default).
 const defaultRestoreSlack = 0.6
@@ -201,9 +185,6 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 	}
 	if opts.GovernorPeriodMS <= 0 {
 		opts.GovernorPeriodMS = 500
-	}
-	if opts.Telemetry == nil {
-		opts.Telemetry = defaultTelemetry
 	}
 	sv := &Server{
 		sim:      node.Sim,
@@ -1181,18 +1162,18 @@ func (sv *Server) Collect() Result {
 
 // Drained reports whether every injected arrival has been admitted and
 // completed — the serving loop's termination condition. A fleet drains
-// all its shards on the shared clock before summarizing any of them.
+// all its shards before summarizing any of them.
 func (sv *Server) Drained() bool {
 	return sv.pendingArrivals == 0 && sv.inFlight == 0
 }
 
 // GovernorPeriodMS returns the monitor/optimizer cycle length — the
-// horizon step a fleet's drain loop advances the shared clock by.
+// horizon step a fleet's drain loop advances its shard clocks by.
 func (sv *Server) GovernorPeriodMS() float64 { return sv.opts.GovernorPeriodMS }
 
 // Summarize builds the run summary at the current instant without
-// driving the simulator. Collect = drain + Summarize; a fleet drains the
-// shared clock itself and then summarizes each shard. Call it once.
+// driving the simulator. Collect = drain + Summarize; a fleet drains its
+// shard clocks itself and then summarizes each shard. Call it once.
 func (sv *Server) Summarize() Result {
 	start := sv.powerTS.Times[0]
 	end := sv.sim.Now()

@@ -96,7 +96,7 @@ func (b Bench) NewSession(opts Options) (*Server, *cluster.Node, error) {
 }
 
 // NewShardSession provisions one fleet shard: a node whose boards carry
-// the given name prefix, built on a shared simulator, plus the server
+// the given name prefix, built on the given simulator, plus the server
 // that drives it. NewSession is the single-node case (fresh simulator,
 // empty prefix) — so a 1-node fleet and a direct session assemble the
 // exact same node, planner, and server.

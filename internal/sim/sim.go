@@ -224,30 +224,18 @@ func (s *Simulator) RunUntil(deadline Time) {
 	}
 }
 
-// NextEvent returns the firing time and sequence number of the earliest
-// pending event, or ok == false when the queue is empty. The parallel
-// fleet coordinator peeks between epochs to skip dispatching rounds in
-// which a shard has nothing eligible to fire.
-func (s *Simulator) NextEvent() (at Time, seq uint64, ok bool) {
-	if len(s.heap) == 0 {
-		return 0, 0, false
-	}
-	e := &s.slots[s.heap[0]]
-	return e.at, e.seq, true
-}
-
 // SeqMark returns the sequence number the next scheduled event will be
 // assigned. Events already scheduled all have seq below the mark; events
-// scheduled after the call all have seq at or above it. A conservative
-// parallel coordinator snapshots the mark at run start to tell
-// construction-time events apart from run-scheduled ones when both land
-// on the same instant (see RunUntilBarrier).
+// scheduled after the call all have seq at or above it. The fleet's
+// drain snapshots the mark at run start to tell construction-time events
+// apart from run-scheduled ones when both land on the same instant (see
+// RunUntilBarrier).
 func (s *Simulator) SeqMark() uint64 { return s.seq }
 
 // RunUntilBarrier fires events strictly before deadline, plus events at
 // exactly deadline whose sequence number is below mark, then advances
-// the clock to deadline. It is the epoch-step primitive of the parallel
-// fleet coordinator: with mark taken at run start (SeqMark), the events
+// the clock to deadline. It is the epoch-step primitive of the fleet's
+// per-shard drain: with mark taken at run start (SeqMark), the events
 // fired are exactly those that preceded a barrier event at (deadline,
 // mark) in a shared-simulator run — pre-run events at the deadline fire,
 // run-scheduled ones hold until after the barrier's owner (e.g. a

@@ -204,12 +204,17 @@ func TestRunUntilBarrierSplitsByMark(t *testing.T) {
 	if s.Now() != 20 {
 		t.Fatalf("clock = %v, want advanced to barrier time 20", s.Now())
 	}
-	if at, seq, ok := s.NextEvent(); !ok || at != 20 || seq < mark {
-		t.Fatalf("NextEvent = (%v, %d, %v), want the held post-mark event at 20", at, seq, ok)
+	if s.Pending() != 2 || s.Fired() != 2 {
+		t.Fatalf("pending %d / fired %d, want the post-mark event at 20 and the one past it held", s.Pending(), s.Fired())
 	}
-	// A post-barrier advance releases the held event in FIFO order.
+	// A re-advance to the barrier time releases the held post-mark event
+	// (and nothing past it), so it was held at 20 itself.
+	s.RunUntil(20)
+	if len(fired) != 3 || fired[2] != 3 || s.Now() != 20 {
+		t.Fatalf("re-advance to 20 fired %v at %v, want the held event 3 at 20", fired, s.Now())
+	}
 	s.RunUntil(30)
-	if len(fired) != 4 || fired[2] != 3 || fired[3] != 4 {
+	if len(fired) != 4 || fired[3] != 4 || s.Fired() != 4 {
 		t.Fatalf("resume fired %v, want 1 2 3 4", fired)
 	}
 }
@@ -220,8 +225,16 @@ func TestRunUntilBarrierEmptyAdvancesClock(t *testing.T) {
 	if s.Now() != 15 {
 		t.Fatalf("clock = %v, want 15", s.Now())
 	}
-	if _, _, ok := s.NextEvent(); ok {
-		t.Fatal("NextEvent on an empty queue reported an event")
+	if s.Pending() != 0 || s.Fired() != 0 {
+		t.Fatalf("empty barrier advance left pending %d, fired %d; want a bare clock bump", s.Pending(), s.Fired())
+	}
+	// The bumped clock is the floor for later scheduling: an event in
+	// the past fires at 15, not before it.
+	var firedAt Time
+	s.AtCall(5, func(at Time, _ any) { firedAt = at }, nil)
+	s.RunUntil(15)
+	if firedAt != 15 || s.Fired() != 1 {
+		t.Fatalf("past-clamped event fired at %v (fired %d); want 15 and 1", firedAt, s.Fired())
 	}
 }
 

@@ -23,8 +23,8 @@ import (
 //
 // The rollup tolerates concurrent scrape: Sync, SetNodeHealth, AddNode,
 // and WritePrometheus serialize on an internal mutex, so an HTTP
-// /metrics scrape racing a fleet's health refresh (or a parallel
-// fleet's coordinator) sees a consistent gauge set.
+// /metrics scrape racing a fleet's health refresh sees a consistent
+// gauge set.
 type FleetRollup struct {
 	mu    sync.Mutex
 	reg   *Registry

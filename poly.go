@@ -126,4 +126,4 @@ type ExperimentResult = exp.Result
 func Experiments() [][2]string { return exp.List() }
 
 // RunExperiment regenerates one table or figure by ID (e.g. "fig8").
-func RunExperiment(id string) (ExperimentResult, error) { return exp.Run(id) }
+func RunExperiment(id string) (ExperimentResult, error) { return exp.Run(id, nil) }
