@@ -31,7 +31,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace JSON of every single-node session the experiment runs (forces -workers 1; fleet shards are not recorded)")
-	metricsOut := flag.String("metrics-out", "", "write the aggregated Prometheus metrics of every single-node session the experiment runs (pool-safe: works at any -workers; fleet shards are not recorded)")
+	metricsOut := flag.String("metrics-out", "", "write the Prometheus metrics of every single-node session the experiment runs (forces -workers 1; fleet shards are not recorded)")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
 	// The recorder is handed to the experiment, which attaches it to
@@ -39,22 +39,13 @@ func main() {
 	// one recorder cannot hold N nodes.
 	var rec *telemetry.Recorder
 	var sink telemetry.Sink
-	switch {
-	case *traceOut != "":
-		// Tracing must run serial, or parallel sweeps would interleave
-		// their timelines in one recorder. (Metric recording itself is
-		// pool-safe; it is the per-session Perfetto tracks that cannot
-		// share a buffer across workers.)
+	if *traceOut != "" || *metricsOut != "" {
+		// Recording must run serial: a recorder records one timeline, and
+		// parallel sweeps would interleave theirs in it.
 		fmt.Fprintln(os.Stderr,
-			"polybench: -trace-out forces a serial worker pool (POLY_WORKERS ignored); drop -trace-out for parallel sweeps")
+			"polybench: -trace-out/-metrics-out force a serial worker pool (POLY_WORKERS ignored); drop them for parallel sweeps")
 		parallel.SetWorkers(1)
 		rec = telemetry.New()
-		sink = rec
-	case *metricsOut != "":
-		// Metrics-only recording is safe under the parallel pool: counters
-		// and histograms accumulate correctly from any worker, and no
-		// per-session trace state exists to interleave.
-		rec = telemetry.NewWithOptions(telemetry.Options{MetricsOnly: true})
 		sink = rec
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)

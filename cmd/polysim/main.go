@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -35,7 +36,7 @@ func main() {
 	setting := flag.String("setting", "I", "hardware setting: I, II, or III")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (and /metrics with -telemetry) on this address (e.g. localhost:6060)")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (and, with -telemetry, /metrics or one /metrics/n<i> per fleet node) on this address (e.g. localhost:6060)")
 	useTelemetry := flag.Bool("telemetry", false, "record runtime telemetry (metrics + spans)")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace JSON of the run to this file (implies -telemetry)")
 	flightOut := flag.String("flight-out", "", "write the QoS flight recorder to this file as Perfetto/Chrome trace JSON (implies -telemetry): the frozen pre-incident window if a violation or board-down trigger fired, else the live tail")
@@ -46,6 +47,9 @@ func main() {
 	nodes := flag.Int("nodes", 1, "fleet size: shard the cluster into N nodes behind the router (1 = direct single-node path)")
 	fleetPolicy := flag.String("fleet-policy", "binpack", "fleet routing policy: binpack, spread, or least-util (needs -nodes > 1)")
 	flag.Parse()
+	if err := validate(*rps, *duration, *nodes, *batchWait, *batchCap); err != nil {
+		fail(err)
+	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {
 		fail(err)
@@ -210,9 +214,12 @@ func serveFleet(bench poly.Bench, cfg fleetConfig) {
 		fail(err)
 	}
 	if cfg.telemetry {
-		prof.Handle("/metrics", f.Rollup().MetricsHandler())
+		for i := 0; i < f.Nodes(); i++ {
+			prof.Handle(fmt.Sprintf("/metrics/n%d", i), f.Recorder(i).MetricsHandler())
+		}
 		if cfg.pprofAddr != "" {
-			fmt.Printf("telemetry: http://%s/metrics (fleet rollup, Prometheus text)\n", cfg.pprofAddr)
+			fmt.Printf("telemetry: http://%s/metrics/n0 .. /metrics/n%d (one per node, Prometheus text)\n",
+				cfg.pprofAddr, f.Nodes()-1)
 		}
 	}
 	w := runtime.NewWorkload(cfg.seed)
@@ -229,6 +236,25 @@ func serveFleet(bench poly.Bench, cfg fleetConfig) {
 	res := f.Collect()
 	fmt.Printf("%s on %d-node %s fleet (%s):\n", cfg.app, cfg.nodes, bench.Arch, cfg.setting)
 	fmt.Println(indent(res.String(), "  "))
+}
+
+// validate rejects out-of-range flag values before anything is built.
+func validate(rps float64, duration time.Duration, nodes int, batchWait float64, batchCap int) error {
+	switch {
+	case math.IsNaN(rps) || math.IsInf(rps, 0) || rps < 0:
+		return fmt.Errorf("-rps %v: want a finite rate >= 0", rps)
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: want a positive span", duration)
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d: want at least 1", nodes)
+	case math.IsNaN(batchWait) || math.IsInf(batchWait, 0) || batchWait < 0:
+		return fmt.Errorf("-batch-wait %v: want a finite wait >= 0 ms", batchWait)
+	case batchCap < 0:
+		return fmt.Errorf("-batch %d: want a cap >= 0", batchCap)
+	case batchCap > 0 && batchWait == 0:
+		return fmt.Errorf("-batch %d needs -batch-wait > 0", batchCap)
+	}
+	return nil
 }
 
 func writeFlightFile(rec *telemetry.Recorder, path string) error {

@@ -41,8 +41,8 @@ type Result interface {
 // Runner executes one experiment. tel, when non-nil, is attached to
 // every single-node serving session the experiment builds — how
 // polybench -trace-out/-metrics-out record an experiment's sessions. A
-// traced sink must run with a serial worker pool, or parallel sweeps
-// would interleave their timelines in one recorder.
+// sink must run with a serial worker pool: a recorder records one
+// timeline, and parallel sweeps would interleave theirs in it.
 type Runner func(tel telemetry.Sink) (Result, error)
 
 // withoutSink adapts an experiment that builds no serving session.

@@ -207,34 +207,42 @@ func TestParallelSweepDeterminism(t *testing.T) {
 
 // TestExperimentSinkRecordsSessions: the sink handed to Run reaches the
 // single-node serving sessions an experiment builds. fig1d, the cheapest
-// serving experiment, must fill a pool-safe metrics recorder with spans,
-// node and board resource gauges, stage attribution, and SLO burn state.
+// serving experiment, run serially into a fresh recorder, must fill it
+// with spans, node and board resource gauges, stage attribution, and SLO
+// burn state — and a second run must write the identical exposition.
 func TestExperimentSinkRecordsSessions(t *testing.T) {
 	defer func() {
 		parallel.SetWorkers(0)
 		ResetCaches()
 	}()
-	parallel.SetWorkers(2)
-	ResetCaches()
-	rec := telemetry.NewWithOptions(telemetry.Options{MetricsOnly: true})
-	if _, err := Run("fig1d", rec); err != nil {
-		t.Fatal(err)
+	parallel.SetWorkers(1)
+	expose := func() string {
+		ResetCaches()
+		rec := telemetry.New()
+		if _, err := Run("fig1d", rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.SpanTotal() == 0 {
+			t.Fatal("fig1d recorded no spans into the experiment sink")
+		}
+		var buf strings.Builder
+		if err := rec.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
 	}
-	if rec.SpanTotal() == 0 {
-		t.Fatal("fig1d recorded no spans into the experiment sink")
-	}
-	var buf strings.Builder
-	if err := rec.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
+	first := expose()
 	for _, want := range []string{
 		`poly_node_allocatable{resource="compute_slots"}`, "poly_board_allocatable{",
 		`poly_stage_latency_ms_count{stage="exec"}`, "poly_slo_burn_rate{",
 		"poly_plan_cache_hits_total",
 	} {
-		if !strings.Contains(buf.String(), want) {
+		if !strings.Contains(first, want) {
 			t.Errorf("exposition lacks %s", want)
 		}
+	}
+	if second := expose(); second != first {
+		t.Fatalf("two serial fig1d runs wrote different expositions:\n--- first ---\n%s--- second ---\n%s", first, second)
 	}
 }
 

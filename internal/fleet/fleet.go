@@ -55,8 +55,8 @@ type Options struct {
 	// shard its own recorder instead.
 	Runtime runtime.Options
 	// WithTelemetry attaches a dedicated telemetry.Recorder to every
-	// shard (reachable via Recorder), plus a fleet-level rollup
-	// (Rollup) aggregating the per-node resource gauges.
+	// shard, reachable via Recorder. Fleet-wide figures are sums over
+	// the shards' poly_node_* series; no recorder aggregates them.
 	WithTelemetry bool
 }
 
@@ -101,8 +101,6 @@ type Fleet struct {
 	shed           int
 	nodeDownEvents int
 	placements     []int
-
-	rollup *telemetry.FleetRollup
 }
 
 // New provisions a fleet of opts.Nodes shards of the given bench, each
@@ -128,9 +126,6 @@ func newFleet(b runtime.Bench, opts Options, shared *sim.Simulator) (*Fleet, err
 		policy:     opts.Policy,
 		placements: make([]int, n),
 	}
-	if opts.WithTelemetry {
-		f.rollup = telemetry.NewFleetRollup()
-	}
 	for i := 0; i < n; i++ {
 		prefix := ""
 		if n > 1 {
@@ -155,9 +150,6 @@ func newFleet(b runtime.Bench, opts Options, shared *sim.Simulator) (*Fleet, err
 		}
 		sh.node, sh.srv = node, srv
 		f.shards = append(f.shards, sh)
-		if f.rollup != nil {
-			f.rollup.AddNode(sh.name, sh.rec)
-		}
 	}
 	return f, nil
 }
@@ -174,10 +166,6 @@ func (f *Fleet) Node(i int) *cluster.Node { return f.shards[i].node }
 // Recorder returns shard i's telemetry recorder (nil without
 // WithTelemetry).
 func (f *Fleet) Recorder(i int) *telemetry.Recorder { return f.shards[i].rec }
-
-// Rollup returns the fleet-level telemetry rollup (nil without
-// WithTelemetry). SyncHealth has been applied as of the last Collect.
-func (f *Fleet) Rollup() *telemetry.FleetRollup { return f.rollup }
 
 // NodeHealthState returns the router's current belief about shard i.
 func (f *Fleet) NodeHealthState(i int) NodeHealth { return f.shards[i].health() }
@@ -417,11 +405,6 @@ func (f *Fleet) result() Result {
 	if res.DurationMS > 0 {
 		res.AvgPowerW = res.EnergyMJ / res.DurationMS
 		res.ThroughputRPS = float64(res.Completed) / res.DurationMS * 1000
-	}
-	if f.rollup != nil {
-		for _, sh := range f.shards {
-			f.rollup.SetNodeHealth(sh.name, sh.health().String())
-		}
 	}
 	return res
 }

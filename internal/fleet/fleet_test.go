@@ -1,7 +1,9 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -436,16 +438,21 @@ func TestFleetTargetNodesActuator(t *testing.T) {
 	}
 }
 
-// TestFleetTelemetryRollup: per-shard recorders stay independent while
-// the rollup aggregates them into poly_fleet_* gauges whose allocatable
-// sums match the nodes' declared envelopes, and node-health gauges track
-// the router's belief.
-func TestFleetTelemetryRollup(t *testing.T) {
+// TestFleetTelemetryPerShard: every shard records into its own
+// recorder, and each recorder's exposition describes its own node — the
+// node's capacity as allocatable compute slots, one span per completed
+// request.
+func TestFleetTelemetryPerShard(t *testing.T) {
 	b := asrBench(t)
+	// Skewed caps give the two nodes different board counts, so a
+	// recorder serving the wrong node would show the wrong capacity.
 	f, err := New(b, Options{Nodes: 2, Policy: Spread, WithTelemetry: true,
-		Runtime: runtime.Options{WarmupMS: 1000}})
+		NodeCapsW: []float64{1000, 500}, Runtime: runtime.Options{WarmupMS: 1000}})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f.Node(0).Capacity().ComputeSlots == f.Node(1).Capacity().ComputeSlots {
+		t.Fatal("skewed caps left both nodes with the same compute slots")
 	}
 	runtime.NewWorkload(5).InjectPoisson(f, 60, 0, 6000)
 	res := f.Collect()
@@ -453,46 +460,23 @@ func TestFleetTelemetryRollup(t *testing.T) {
 		t.Fatal("nothing completed")
 	}
 	for i := 0; i < f.Nodes(); i++ {
-		if f.Recorder(i) == nil {
+		rec := f.Recorder(i)
+		if rec == nil {
 			t.Fatalf("shard %d has no recorder", i)
 		}
-		if got := f.Recorder(i).SpanTotal(); got != res.PerNode[i].Completed {
+		if got := rec.SpanTotal(); got != res.PerNode[i].Completed {
 			t.Fatalf("shard %d recorder saw %d spans, node completed %d",
 				i, got, res.PerNode[i].Completed)
 		}
-	}
-
-	var buf strings.Builder
-	if err := f.Rollup().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	reg := f.Rollup().Registry()
-	if got := reg.Gauge("poly_fleet_nodes", "").Value(); got != 2 {
-		t.Fatalf("poly_fleet_nodes = %v, want 2", got)
-	}
-	wantSlots := f.Node(0).Capacity().ComputeSlots + f.Node(1).Capacity().ComputeSlots
-	if got := reg.Gauge("poly_fleet_allocatable", "", "resource", "compute_slots").Value(); got != wantSlots {
-		t.Fatalf("poly_fleet_allocatable{compute_slots} = %v, want %v", got, wantSlots)
-	}
-	for _, node := range []string{"n0", "n1"} {
-		if got := reg.Gauge("poly_fleet_node_health", "", "node", node, "state", "healthy").Value(); got != 1 {
-			t.Fatalf("node %s not marked healthy in the rollup", node)
+		var buf strings.Builder
+		if err := rec.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
 		}
-	}
-	for _, want := range []string{"poly_fleet_nodes", "poly_fleet_allocatable", "poly_fleet_node_health"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %s:\n%s", want, out)
+		want := fmt.Sprintf(`poly_node_allocatable{resource="compute_slots"} %s`+"\n",
+			strconv.FormatFloat(f.Node(i).Capacity().ComputeSlots, 'g', -1, 64))
+		if !strings.Contains(buf.String(), want) {
+			t.Fatalf("shard %d exposition lacks %q:\n%s", i, want, buf.String())
 		}
-	}
-
-	// Health updates flow through: drain n1 and re-collect the gauges.
-	f.Rollup().SetNodeHealth("n1", "draining")
-	if got := reg.Gauge("poly_fleet_node_health", "", "node", "n1", "state", "draining").Value(); got != 1 {
-		t.Fatal("draining state not set")
-	}
-	if got := reg.Gauge("poly_fleet_node_health", "", "node", "n1", "state", "healthy").Value(); got != 0 {
-		t.Fatal("healthy state not cleared")
 	}
 
 	// A shared Sink across shards is a configuration error, not a silent

@@ -50,7 +50,8 @@ func Start(cpuPath, memPath string) (stop func(), err error) {
 
 // Handle registers an extra handler on the mux Serve uses (the
 // DefaultServeMux) — how cmd/polysim mounts the telemetry /metrics
-// endpoint next to /debug/pprof. Call before Serve.
+// endpoints next to /debug/pprof. Safe before or after Serve: the mux
+// guards its own table.
 func Handle(pattern string, h http.Handler) { http.Handle(pattern, h) }
 
 // Serve starts the net/http/pprof listener on addr (e.g. "localhost:6060")

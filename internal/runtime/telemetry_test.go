@@ -194,64 +194,6 @@ func TestServeStageInvariantAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTelemetryMetricsOnlyPoolSafety is the contract behind polybench
-// -metrics-out: one MetricsOnly recorder shared by concurrently-running
-// sessions must aggregate exactly — K identical sessions through one
-// recorder land the same counters as K times one session. Runs under
-// -race, so it also proves the sharing is data-race-free.
-func TestTelemetryMetricsOnlyPoolSafety(t *testing.T) {
-	b := benches(t, "ASR")[cluster.HeterPoly]
-	const (
-		rps        = 30.0
-		durationMS = 6000.0
-		sessions   = 6
-	)
-	run := func(rec *telemetry.Recorder) error {
-		sv, _, err := b.NewSession(Options{WarmupMS: 0.2 * durationMS, Telemetry: rec})
-		if err != nil {
-			return err
-		}
-		NewWorkload(5).InjectPoisson(sv, rps, 0, sim.Time(durationMS))
-		sv.Collect()
-		return nil
-	}
-
-	solo := telemetry.NewWithOptions(telemetry.Options{MetricsOnly: true})
-	if err := run(solo); err != nil {
-		t.Fatal(err)
-	}
-
-	shared := telemetry.NewWithOptions(telemetry.Options{MetricsOnly: true})
-	if _, err := parallel.MapN(4, sessions, func(int) (struct{}, error) {
-		return struct{}{}, run(shared)
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	if got, want := shared.SpanTotal(), sessions*solo.SpanTotal(); got != want {
-		t.Fatalf("shared recorder saw %d spans, want %d (%d sessions x %d)",
-			got, want, sessions, solo.SpanTotal())
-	}
-	for _, c := range []struct {
-		name   string
-		labels []string
-	}{
-		{"poly_requests_total", []string{"outcome", "ok"}},
-		{"poly_requests_total", []string{"outcome", "warmup"}},
-		{"poly_device_launches_total", []string{"device", "gpu0"}},
-		{"poly_plan_cache_misses_total", nil},
-	} {
-		got := shared.Registry().Counter(c.name, "", c.labels...).Value()
-		want := float64(sessions) * solo.Registry().Counter(c.name, "", c.labels...).Value()
-		if got != want {
-			t.Fatalf("%s%v = %v under the pool, want %v", c.name, c.labels, got, want)
-		}
-	}
-	if solo.Registry().Counter("poly_requests_total", "", "outcome", "ok").Value() == 0 {
-		t.Fatal("baseline session completed nothing; the pool-safety test lost its teeth")
-	}
-}
-
 // TestGovernorTransitionLatencyPressure drives the governor's boost path
 // directly: a monitoring window whose p95 crowds the bound must flip the
 // mode to boost with cause latency_pressure, and the transition must land

@@ -72,11 +72,8 @@ type flightSnapshot struct {
 // and freezing keeps its prelude from being overwritten while the run
 // continues. Callers hold r.mu.
 func (r *Recorder) flightTripLocked(cause string, at sim.Time) {
-	if r.flight == nil {
-		return
-	}
-	r.reg.getLocked("poly_flight_triggers_total", "Flight-recorder triggers by cause.",
-		kindCounter, Labels{"cause", cause}).incLocked()
+	r.reg.get("poly_flight_triggers_total", "Flight-recorder triggers by cause.",
+		kindCounter, Labels{"cause", cause}).inc()
 	r.emitLocked(traceEv{kind: evFlightTrigger, name: r.in.flightTrigger, ts: us(at),
 		pid: int32(r.session), tid: tidRequests, s1: r.tab.id(cause)})
 	if r.flightSnap != nil {
@@ -115,13 +112,10 @@ func (r *Recorder) flightMetaLocked() []traceEv {
 
 // WriteFlight renders the flight recorder as Chrome trace-event JSON:
 // the frozen incident snapshot if a trigger fired, otherwise the live
-// tail of the ring. Returns an empty trace in MetricsOnly mode.
+// tail of the ring.
 func (r *Recorder) WriteFlight(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.flight == nil {
-		return writeTraceEvents(w, r.tab)
-	}
 	meta := r.flightMetaLocked()
 	if r.flightSnap != nil {
 		return writeTraceEvents(w, r.tab, meta, r.flightSnap.events)

@@ -142,10 +142,9 @@ func TestFlightFreezeAtFirstTrigger(t *testing.T) {
 	}
 }
 
-// TestFlightLiveTailAndMetricsOnly covers the two non-incident dumps: a
-// run with no trigger writes the ring's live tail, and a MetricsOnly
-// recorder (no ring at all) writes a valid empty trace.
-func TestFlightLiveTailAndMetricsOnly(t *testing.T) {
+// TestFlightLiveTail covers the non-incident dump: a run with no trigger
+// writes the ring's live tail.
+func TestFlightLiveTail(t *testing.T) {
 	r := NewWithOptions(Options{FlightRingCap: 8})
 	r.BeginSession("quiet")
 	r.RegisterBoard("gpu0", "GPU")
@@ -164,19 +163,5 @@ func TestFlightLiveTailAndMetricsOnly(t *testing.T) {
 	}
 	if kernels != 8 {
 		t.Fatalf("live tail kept %d kernel events, want the ring cap 8", kernels)
-	}
-
-	mo := NewWithOptions(Options{MetricsOnly: true})
-	mo.BeginSession("pooled")
-	finishViolation(mo, 100, true)
-	if _, _, ok := mo.FlightTriggered(); ok {
-		t.Fatal("MetricsOnly recorder claims a flight trigger")
-	}
-	buf.Reset()
-	if err := mo.WriteFlight(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if evs := decodeTrace(t, &buf); len(evs) != 0 {
-		t.Fatalf("MetricsOnly flight dump has %d events, want 0", len(evs))
 	}
 }

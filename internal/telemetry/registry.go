@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 
 	"poly/internal/sim"
 )
@@ -16,26 +15,13 @@ type Labels []string
 
 // Registry is a label-keyed metric store: counters, gauges, and
 // fixed-bucket histograms, grouped into families for Prometheus text
-// exposition. All methods are safe for concurrent use — the simulation
-// loop records while the /metrics listener snapshots.
+// exposition. It has one writer and no lock of its own: the Recorder
+// that owns it serializes every update and every scrape under
+// Recorder.mu. The zero value is an empty registry.
 type Registry struct {
-	mu       *sync.Mutex
 	families map[string]*family
 	names    []string // family names in first-registration order
 	keyBuf   []byte   // scratch for allocation-free series lookups
-}
-
-// NewRegistry returns an empty registry guarded by its own mutex.
-func NewRegistry() *Registry {
-	return newSharedRegistry(&sync.Mutex{})
-}
-
-// newSharedRegistry returns a registry guarded by an external mutex, so
-// an owner (the Recorder) can update many series under one acquisition
-// via the *Locked entry points. Callers of the public Metric methods
-// must not already hold mu.
-func newSharedRegistry(mu *sync.Mutex) *Registry {
-	return &Registry{mu: mu, families: make(map[string]*family)}
 }
 
 type metricKind int
@@ -70,8 +56,6 @@ type family struct {
 // sim.HistogramBoundsMS bucket layout, so a `le` bound here means the
 // same interval as a sim.Sample bucket.
 type Metric struct {
-	reg       *Registry
-	kind      metricKind
 	labelsStr string // rendered {k="v",...}, sorted by key; "" when unlabeled
 
 	val float64 // counter / gauge value
@@ -134,20 +118,16 @@ func escapeLabel(v string) string {
 }
 
 // get returns the series for (name, labels), creating family and series
-// as needed. Kind and help are fixed by the first registration.
+// as needed. Kind and help are fixed by the first registration. A
+// lookup that hits an existing series allocates nothing: the rendered
+// label key lives in the registry's scratch buffer and only becomes a
+// string on first registration.
 func (r *Registry) get(name, help string, kind metricKind, labels Labels) *Metric {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.getLocked(name, help, kind, labels)
-}
-
-// getLocked is get for callers already holding r.mu. A lookup that hits
-// an existing series allocates nothing: the rendered label key lives in
-// the registry's scratch buffer and only becomes a string on first
-// registration.
-func (r *Registry) getLocked(name, help string, kind metricKind, labels Labels) *Metric {
 	f := r.families[name]
 	if f == nil {
+		if r.families == nil {
+			r.families = make(map[string]*family)
+		}
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*Metric)}
 		r.families[name] = f
 		r.names = append(r.names, name)
@@ -156,7 +136,7 @@ func (r *Registry) getLocked(name, help string, kind metricKind, labels Labels) 
 	m := f.series[string(r.keyBuf)]
 	if m == nil {
 		key := string(r.keyBuf)
-		m = &Metric{reg: r, kind: f.kind, labelsStr: key}
+		m = &Metric{labelsStr: key}
 		if f.kind == kindHistogram {
 			m.buckets = make([]uint64, sim.NumHistogramBuckets)
 		}
@@ -183,107 +163,34 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Metric {
 	return r.get(name, help, kindHistogram, Labels(labels))
 }
 
-// Add increments a counter (or gauge) by v.
-func (m *Metric) Add(v float64) {
-	m.reg.mu.Lock()
-	m.val += v
-	m.reg.mu.Unlock()
-}
-
-// Inc increments a counter by one.
-func (m *Metric) Inc() { m.Add(1) }
-
-// Set sets a gauge's value.
-func (m *Metric) Set(v float64) {
-	m.reg.mu.Lock()
-	m.val = v
-	m.reg.mu.Unlock()
-}
-
-// Value reads the current counter/gauge value.
-func (m *Metric) Value() float64 {
-	m.reg.mu.Lock()
-	defer m.reg.mu.Unlock()
-	return m.val
-}
-
-// Observe records one observation into a histogram series.
-func (m *Metric) Observe(v float64) {
-	m.reg.mu.Lock()
-	m.buckets[sim.BucketIndex(v)]++
-	m.count++
-	m.sum += v
-	m.reg.mu.Unlock()
-}
-
-// addLocked / setLocked / observeLocked are the raw series updates for
-// an owner already holding the registry mutex (the Recorder batches a
-// whole runtime event under one acquisition). Calling the public
-// Add/Set/Observe while holding the shared mutex would deadlock.
-func (m *Metric) addLocked(v float64) { m.val += v }
-func (m *Metric) incLocked()          { m.val++ }
-func (m *Metric) setLocked(v float64) { m.val = v }
-func (m *Metric) observeLocked(v float64) {
+// add / inc / set / observe are the series updates. The owning
+// Recorder calls them with Recorder.mu held.
+func (m *Metric) add(v float64) { m.val += v }
+func (m *Metric) inc()          { m.val++ }
+func (m *Metric) set(v float64) { m.val = v }
+func (m *Metric) observe(v float64) {
 	m.buckets[sim.BucketIndex(v)]++
 	m.count++
 	m.sum += v
 }
 
-// HistCount returns a histogram series' observation count.
-func (m *Metric) HistCount() uint64 {
-	m.reg.mu.Lock()
-	defer m.reg.mu.Unlock()
-	return m.count
-}
+// Value reads a counter or gauge series. It takes no lock: read it only
+// when the recorder that owns the series is not recording.
+func (m *Metric) Value() float64 { return m.val }
 
-// Quantile estimates the q-th quantile (0 < q < 1) of a histogram series
-// by linear interpolation inside the bucket holding the target rank —
-// the summary the registry reports as p50/p95/p99. Exact percentiles
-// stay with sim.Sample; this is a monitoring estimate.
-func (m *Metric) Quantile(q float64) float64 {
-	m.reg.mu.Lock()
-	defer m.reg.mu.Unlock()
-	if m.count == 0 {
-		return 0
-	}
-	rank := q * float64(m.count)
-	var cum float64
-	for i, c := range m.buckets {
-		next := cum + float64(c)
-		if next >= rank && c > 0 {
-			lo := 0.0
-			if i > 0 {
-				lo = sim.HistogramBoundsMS[i-1]
-			}
-			hi := lo
-			if i < len(sim.HistogramBoundsMS) {
-				hi = sim.HistogramBoundsMS[i]
-			}
-			frac := (rank - cum) / float64(c)
-			return lo + (hi-lo)*frac
-		}
-		cum = next
-	}
-	return sim.HistogramBoundsMS[len(sim.HistogramBoundsMS)-1]
-}
+// HistCount returns a histogram series' observation count, under the
+// same rule as Value.
+func (m *Metric) HistCount() uint64 { return m.count }
 
 // formatValue renders a sample value the shortest way that round-trips.
 func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4). Families appear in registration order and
-// series in first-use order, so output is deterministic for a
-// deterministic run.
-func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.writeLocked(w)
-}
-
-// writeLocked renders the exposition for callers already holding r.mu.
-func (r *Registry) writeLocked(w io.Writer) error {
+// write renders the registry in the Prometheus text exposition format
+// (version 0.0.4). Families appear in registration order and series in
+// first-use order, so output is deterministic for a deterministic run.
+func (r *Registry) write(w io.Writer) error {
 	for _, name := range r.names {
 		f := r.families[name]
 		if f.help != "" {

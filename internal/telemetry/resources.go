@@ -21,8 +21,6 @@ const (
 
 const numResources = 3
 
-var resourceNames = [numResources]string{ResComputeSlots, ResPowerW, ResFPGARegions}
-
 // resourceIndex maps a resource name to its fixed slot; unknown names
 // return -1 (the event is ignored rather than corrupting a known slot).
 func resourceIndex(resource string) int {
@@ -64,11 +62,11 @@ func (r *Recorder) RegisterNodeResource(resource string, allocatable float64) {
 	if !r.nodeResOn[i] {
 		r.nodeResOn[i] = true
 		r.nodeGauges[i] = resGauges{
-			allocated: r.reg.getLocked("poly_node_allocated",
+			allocated: r.reg.get("poly_node_allocated",
 				"Node resource currently in use.", kindGauge, Labels{"resource", resource}),
-			allocatable: r.reg.getLocked("poly_node_allocatable",
+			allocatable: r.reg.get("poly_node_allocatable",
 				"Node resource capacity.", kindGauge, Labels{"resource", resource}),
-			ratio: r.reg.getLocked("poly_node_utilization_ratio",
+			ratio: r.reg.get("poly_node_utilization_ratio",
 				"Node allocated over allocatable per resource.", kindGauge, Labels{"resource", resource}),
 		}
 	}
@@ -87,13 +85,13 @@ func (r *Recorder) RegisterBoardResource(board, resource string, allocatable flo
 	if !bs.resOn[i] {
 		bs.resOn[i] = true
 		bs.gauges[i] = resGauges{
-			allocated: r.reg.getLocked("poly_board_allocated",
+			allocated: r.reg.get("poly_board_allocated",
 				"Board resource currently in use.", kindGauge,
 				Labels{"board", board, "resource", resource}),
-			allocatable: r.reg.getLocked("poly_board_allocatable",
+			allocatable: r.reg.get("poly_board_allocatable",
 				"Board resource capacity.", kindGauge,
 				Labels{"board", board, "resource", resource}),
-			ratio: r.reg.getLocked("poly_board_utilization_ratio",
+			ratio: r.reg.get("poly_board_utilization_ratio",
 				"Board allocated over allocatable per resource.", kindGauge,
 				Labels{"board", board, "resource", resource}),
 		}
@@ -143,30 +141,13 @@ func (r *Recorder) BitstreamResident(device, implID string, at sim.Time) {
 }
 
 func syncResGauges(g resGauges, v resVals) {
-	g.allocated.setLocked(v.allocated)
-	g.allocatable.setLocked(v.allocatable)
+	g.allocated.set(v.allocated)
+	g.allocatable.set(v.allocatable)
 	if v.allocatable > 0 {
-		g.ratio.setLocked(v.allocated / v.allocatable)
+		g.ratio.set(v.allocated / v.allocatable)
 	} else {
-		g.ratio.setLocked(0)
+		g.ratio.set(0)
 	}
-}
-
-// NodeResource returns the recorder's live node-level occupancy for one
-// resource: allocated, allocatable, and whether the resource was ever
-// registered. This is the read side a fleet rollup aggregates across
-// per-shard recorders without going through text exposition.
-func (r *Recorder) NodeResource(resource string) (allocated, allocatable float64, ok bool) {
-	i := resourceIndex(resource)
-	if i < 0 {
-		return 0, 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.nodeResOn[i] {
-		return 0, 0, false
-	}
-	return r.nodeRes[i].allocated, r.nodeRes[i].allocatable, true
 }
 
 // syncResourcesLocked pushes the raw occupancy floats into the exported

@@ -113,13 +113,6 @@ type Options struct {
 	// TraceEventCap bounds the trace buffer (default 1<<20 events);
 	// overflow increments poly_trace_events_dropped_total.
 	TraceEventCap int
-	// MetricsOnly disables the trace buffer, flight recorder, and
-	// per-session Perfetto tracks, leaving only the metric registry and
-	// span ring. In this mode the recorder is safe to share across
-	// concurrently-running sessions (a parallel polybench sweep):
-	// counters and histograms accumulate correctly from any worker;
-	// gauges are last-writer-wins.
-	MetricsOnly bool
 	// FlightRingCap bounds the flight-recorder ring (default 8192
 	// events, oldest overwritten).
 	FlightRingCap int
@@ -188,12 +181,15 @@ type boardState struct {
 }
 
 // Recorder is the standard Sink: it feeds the registry, the span ring,
-// the trace buffer, the flight recorder, and the SLO tracker. Safe for
-// concurrent use (the /metrics listener reads while the simulation
-// records); each runtime event takes the recorder mutex exactly once.
+// the trace buffer, the flight recorder, and the SLO tracker. A Recorder
+// records one timeline from one writer: sessions follow each other, and
+// concurrently-running sessions (a parallel sweep, fleet shards) each
+// need their own Recorder. mu is the package's only lock, kept so a live
+// /metrics scrape can read while the simulation records; each runtime
+// event takes it exactly once.
 type Recorder struct {
 	mu    sync.Mutex
-	reg   *Registry
+	reg   Registry
 	spans *SpanRing
 	trace *traceBuf
 	tab   *strtab
@@ -257,12 +253,13 @@ func NewWithOptions(o Options) *Recorder {
 	o.withDefaults()
 	r := &Recorder{
 		spans:  NewSpanRing(o.SpanRingCap),
+		trace:  newTraceBuf(o.TraceEventCap),
+		flight: newFlightRing(o.FlightRingCap),
 		boards: make(map[string]*boardState),
 		opts:   o,
 		slo: newSLOTracker(o.SLOTarget, o.SLOShortWindowMS, o.SLOLongWindowMS,
 			o.SLOBurnThreshold),
 	}
-	r.reg = newSharedRegistry(&r.mu)
 	r.tab = newStrtab()
 	r.in = fixedIDs{
 		processName:   r.tab.id("process_name"),
@@ -282,10 +279,6 @@ func NewWithOptions(o Options) *Recorder {
 		flightProcess: r.tab.id("flight recorder"),
 		modeFG:        r.tab.id(modeForeground),
 		modeBG:        r.tab.id(modeBackground),
-	}
-	if !o.MetricsOnly {
-		r.trace = newTraceBuf(o.TraceEventCap)
-		r.flight = newFlightRing(o.FlightRingCap)
 	}
 	r.cOK = r.reg.Counter("poly_requests_total", "Finished requests by outcome.", "outcome", "ok")
 	r.cViolation = r.reg.Counter("poly_requests_total", "", "outcome", "violation")
@@ -329,8 +322,9 @@ func NewWithOptions(o Options) *Recorder {
 	return r
 }
 
-// Registry exposes the metric registry (for exporters and tests).
-func (r *Recorder) Registry() *Registry { return r.reg }
+// Registry exposes the metric registry for tests. It has no lock of its
+// own: read it only while the recorder is not recording.
+func (r *Recorder) Registry() *Registry { return &r.reg }
 
 // Spans returns the retained finished spans, oldest first. The snapshot
 // aliases live ring entries: it is only valid until enough newer
@@ -353,20 +347,12 @@ func (r *Recorder) BeginSession(label string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.session++
-	if r.opts.MetricsOnly {
-		// Sessions may run concurrently against one recorder here; board
-		// state persists (same names resolve to the same series) and no
-		// per-session tracks exist.
-		return
-	}
 	r.nextTID = tidFirstBoard
 	clear(r.boards)
 	r.boardList = r.boardList[:0]
 	// A new session restarts the simulated clock; burn-rate windows and
 	// stage-percentile populations from the previous timeline must not
-	// bleed into it. (MetricsOnly mode never resets: concurrent sessions
-	// there share one recorder, and the SLO windows assume whatever
-	// coherent clock the caller provides.)
+	// bleed into it.
 	r.slo.reset()
 	for i := range r.stageSamples {
 		r.stageSamples[i].Reset()
@@ -393,15 +379,15 @@ func (r *Recorder) ensureBoardLocked(name, class string) *boardState {
 	bs := &boardState{name: name, class: class, tid: int32(tid),
 		label: r.tab.id(name + " (" + class + ")"),
 		execs: make(map[string]*Metric)}
-	bs.launches = r.reg.getLocked("poly_device_launches_total", "Physical launches per board.",
+	bs.launches = r.reg.get("poly_device_launches_total", "Physical launches per board.",
 		kindCounter, Labels{"device", name})
-	bs.busyMS = r.reg.getLocked("poly_device_busy_ms_total", "Execution-busy milliseconds per board.",
+	bs.busyMS = r.reg.get("poly_device_busy_ms_total", "Execution-busy milliseconds per board.",
 		kindCounter, Labels{"device", name})
-	bs.queueHist = r.reg.getLocked("poly_kernel_queue_ms", "Per-kernel device queue wait.",
+	bs.queueHist = r.reg.get("poly_kernel_queue_ms", "Per-kernel device queue wait.",
 		kindHistogram, Labels{"device", name})
-	bs.serviceHist = r.reg.getLocked("poly_kernel_service_ms", "Per-kernel execution span.",
+	bs.serviceHist = r.reg.get("poly_kernel_service_ms", "Per-kernel execution span.",
 		kindHistogram, Labels{"device", name})
-	bs.dvfs = r.reg.getLocked("poly_device_dvfs_level", "Current GPU DVFS ladder index.",
+	bs.dvfs = r.reg.get("poly_device_dvfs_level", "Current GPU DVFS ladder index.",
 		kindGauge, Labels{"device", name})
 	r.boards[name] = bs
 	r.boardList = append(r.boardList, bs)
@@ -423,15 +409,10 @@ func (r *Recorder) RegisterBoard(name, class string) {
 	}
 	known := r.boards[name] != nil
 	bs := r.ensureBoardLocked(name, class)
-	if class == "FPGA" && bs.reconfigFG == nil {
-		bs.reconfigFG = r.reg.getLocked("poly_device_reconfigs_total", "FPGA bitstream loads per board.",
-			kindCounter, Labels{"device", name, "mode", "foreground"})
-		bs.reconfigBG = r.reg.getLocked("poly_device_reconfigs_total", "",
-			kindCounter, Labels{"device", name, "mode", "background"})
-		bs.reconfigStall = r.reg.getLocked("poly_device_reconfig_stall_ms_total",
-			"Milliseconds boards spent reconfiguring.", kindCounter, Labels{"device", name})
+	if class == "FPGA" {
+		r.fpgaSeriesLocked(bs)
 	}
-	if known || r.opts.MetricsOnly {
+	if known {
 		return
 	}
 	r.trace.add(traceEv{kind: evMetaThread, name: r.in.threadName, pid: int32(r.session),
@@ -444,9 +425,6 @@ func us(t sim.Time) float64 { return float64(t) * 1000 }
 // emitLocked appends a compact event to the trace buffer and the flight
 // ring. Callers hold r.mu.
 func (r *Recorder) emitLocked(e traceEv) {
-	if r.trace == nil {
-		return
-	}
 	r.trace.add(e)
 	r.flight.add(e)
 }
@@ -464,12 +442,10 @@ func (r *Recorder) StartSpan(at sim.Time, boundMS float64) *Span {
 		sp = &Span{ID: r.nextSpan, ArrivedMS: float64(at), BoundMS: boundMS}
 	}
 	r.gInflightSpans.val++
-	if r.flight != nil {
-		// Admissions are flight-only: too hot for the main trace buffer,
-		// exactly what a post-incident dump needs.
-		r.flight.add(traceEv{kind: evAdmit, name: r.in.admit, ts: us(at),
-			pid: int32(r.session), tid: tidRequests, i1: int64(sp.ID), f1: boundMS})
-	}
+	// Admissions are flight-only: too hot for the main trace buffer,
+	// exactly what a post-incident dump needs.
+	r.flight.add(traceEv{kind: evAdmit, name: r.in.admit, ts: us(at),
+		pid: int32(r.session), tid: tidRequests, i1: int64(sp.ID), f1: boundMS})
 	r.mu.Unlock()
 	return sp
 }
@@ -483,20 +459,20 @@ func (r *Recorder) FinishSpan(sp *Span, at sim.Time) {
 	r.gInflightSpans.val--
 	switch {
 	case sp.Dropped:
-		r.cDroppedReq.incLocked()
+		r.cDroppedReq.inc()
 	case !sp.Measured:
-		r.cWarmup.incLocked()
+		r.cWarmup.inc()
 	case sp.Violation:
-		r.cViolation.incLocked()
+		r.cViolation.inc()
 	default:
-		r.cOK.incLocked()
+		r.cOK.inc()
 	}
 	if sp.Measured {
-		r.hLatency.observeLocked(sp.LatencyMS)
-		r.hAdmitWait.observeLocked(sp.AdmitWaitMS())
+		r.hLatency.observe(sp.LatencyMS)
+		r.hAdmitWait.observe(sp.AdmitWaitMS())
 		for i := 0; i < NumStages; i++ {
 			v := sp.Stages.Get(i)
-			r.stageHists[i].observeLocked(v)
+			r.stageHists[i].observe(v)
 			r.stageSamples[i].Add(v)
 		}
 	}
@@ -506,20 +482,20 @@ func (r *Recorder) FinishSpan(sp *Span, at sim.Time) {
 				continue // failed attempt; its retry record carries the stats
 			}
 			bs := r.boardLocked(k.Device)
-			bs.queueHist.observeLocked(k.QueueMS())
-			bs.serviceHist.observeLocked(k.ServiceMS())
+			bs.queueHist.observe(k.QueueMS())
+			bs.serviceHist.observe(k.ServiceMS())
 			c := bs.execs[k.Kernel]
 			if c == nil {
-				c = r.reg.getLocked("poly_kernel_execs_total", "Kernel executions by placement.",
+				c = r.reg.get("poly_kernel_execs_total", "Kernel executions by placement.",
 					kindCounter, Labels{"device", k.Device, "kernel", k.Kernel})
 				bs.execs[k.Kernel] = c
 			}
-			c.incLocked()
+			c.inc()
 		}
 	}
 	if sp.Measured {
 		if trip, short, long := r.slo.observe(float64(at), sp.Violation); trip {
-			r.cBurnTrips.incLocked()
+			r.cBurnTrips.inc()
 			r.emitLocked(traceEv{kind: evSLOBurn, name: r.in.sloBurn, ts: us(at),
 				pid: int32(r.session), tid: tidGovernor, f1: short, f2: long, s1: r.in.trip})
 		}
@@ -541,7 +517,7 @@ func (r *Recorder) FinishSpan(sp *Span, at sim.Time) {
 // PlanError implements Sink.
 func (r *Recorder) PlanError(at sim.Time) {
 	r.mu.Lock()
-	r.cPlanErr.incLocked()
+	r.cPlanErr.inc()
 	r.emitLocked(traceEv{kind: evPlanError, name: r.in.planError, ts: us(at),
 		pid: int32(r.session), tid: tidRequests})
 	r.mu.Unlock()
@@ -551,12 +527,12 @@ func (r *Recorder) PlanError(at sim.Time) {
 func (r *Recorder) PlanUpdate(cacheHit bool, energySwaps int) {
 	r.mu.Lock()
 	if cacheHit {
-		r.cCacheHit.incLocked()
+		r.cCacheHit.inc()
 	} else {
-		r.cCacheMiss.incLocked()
+		r.cCacheMiss.inc()
 	}
 	if energySwaps > 0 {
-		r.cSwaps.addLocked(float64(energySwaps))
+		r.cSwaps.add(float64(energySwaps))
 	}
 	r.mu.Unlock()
 }
@@ -566,17 +542,17 @@ func (r *Recorder) BatchFlush(at sim.Time, size int, holdMS float64, reason stri
 	r.mu.Lock()
 	switch reason {
 	case "full":
-		r.cBatchFull.incLocked()
+		r.cBatchFull.inc()
 	case "maxwait":
-		r.cBatchMaxwait.incLocked()
+		r.cBatchMaxwait.inc()
 	case "disband":
-		r.cBatchDisband.incLocked()
+		r.cBatchDisband.inc()
 	default:
-		r.reg.getLocked("poly_batch_groups_total", "", kindCounter,
-			Labels{"reason", reason}).incLocked()
+		r.reg.get("poly_batch_groups_total", "", kindCounter,
+			Labels{"reason", reason}).inc()
 	}
-	r.hBatchSize.observeLocked(float64(size))
-	r.hBatchHold.observeLocked(holdMS)
+	r.hBatchSize.observe(float64(size))
+	r.hBatchHold.observe(holdMS)
 	r.emitLocked(traceEv{kind: evBatch, name: r.tab.id(batchEventName(reason)), ts: us(at),
 		pid: int32(r.session), tid: tidRequests, i1: int64(size), f1: holdMS})
 	r.mu.Unlock()
@@ -585,7 +561,7 @@ func (r *Recorder) BatchFlush(at sim.Time, size int, holdMS float64, reason stri
 // RequestShed implements Sink.
 func (r *Recorder) RequestShed(at sim.Time) {
 	r.mu.Lock()
-	r.cShed.incLocked()
+	r.cShed.inc()
 	r.emitLocked(traceEv{kind: evShed, name: r.in.shed, ts: us(at),
 		pid: int32(r.session), tid: tidRequests})
 	r.mu.Unlock()
@@ -595,8 +571,8 @@ func (r *Recorder) RequestShed(at sim.Time) {
 func (r *Recorder) TaskRetry(device, kernel string, at sim.Time) {
 	r.mu.Lock()
 	bs := r.boardLocked(device)
-	r.reg.getLocked("poly_task_retries_total", "Kernel retries after device task failures.",
-		kindCounter, Labels{"device", device}).incLocked()
+	r.reg.get("poly_task_retries_total", "Kernel retries after device task failures.",
+		kindCounter, Labels{"device", device}).inc()
 	r.emitLocked(traceEv{kind: evRetry, name: r.tab.id("retry:" + kernel), ts: us(at),
 		pid: int32(r.session), tid: bs.tid, s1: r.tab.id(kernel)})
 	r.mu.Unlock()
@@ -606,8 +582,8 @@ func (r *Recorder) TaskRetry(device, kernel string, at sim.Time) {
 func (r *Recorder) BoardHealthChanged(device, from, to string, at sim.Time) {
 	r.mu.Lock()
 	bs := r.boardLocked(device)
-	r.reg.getLocked("poly_board_health_transitions_total", "Board health-state transitions.",
-		kindCounter, Labels{"device", device, "to", to}).incLocked()
+	r.reg.get("poly_board_health_transitions_total", "Board health-state transitions.",
+		kindCounter, Labels{"device", device, "to", to}).inc()
 	r.emitLocked(traceEv{kind: evHealth, name: r.tab.id(healthEventName(to)), ts: us(at),
 		pid: int32(r.session), tid: bs.tid, s1: r.tab.id(from), s2: r.tab.id(to)})
 	if to == "down" {
@@ -619,8 +595,8 @@ func (r *Recorder) BoardHealthChanged(device, from, to string, at sim.Time) {
 // GovernorTransition implements Sink.
 func (r *Recorder) GovernorTransition(at sim.Time, from, to, cause string) {
 	r.mu.Lock()
-	r.reg.getLocked("poly_governor_transitions_total", "Governor mode changes by cause.",
-		kindCounter, Labels{"from", from, "to", to, "cause", cause}).incLocked()
+	r.reg.get("poly_governor_transitions_total", "Governor mode changes by cause.",
+		kindCounter, Labels{"from", from, "to", to, "cause", cause}).inc()
 	r.emitLocked(traceEv{kind: evGovernor, name: r.tab.id(governorEventName(to)), ts: us(at),
 		pid: int32(r.session), tid: tidGovernor,
 		s1: r.tab.id(from), s2: r.tab.id(to), s3: r.tab.id(cause)})
@@ -630,7 +606,7 @@ func (r *Recorder) GovernorTransition(at sim.Time, from, to, cause string) {
 // PowerSample implements Sink.
 func (r *Recorder) PowerSample(at sim.Time, watts float64) {
 	r.mu.Lock()
-	r.gPower.setLocked(watts)
+	r.gPower.set(watts)
 	r.emitLocked(traceEv{kind: evPower, name: r.in.power, ts: us(at),
 		pid: int32(r.session), tid: tidGovernor, f1: watts})
 	r.mu.Unlock()
@@ -640,8 +616,8 @@ func (r *Recorder) PowerSample(at sim.Time, watts float64) {
 func (r *Recorder) Launched(device, kernel, implID string, batch int, start, end sim.Time) {
 	r.mu.Lock()
 	bs := r.boardLocked(device)
-	bs.launches.incLocked()
-	bs.busyMS.addLocked(float64(end - start))
+	bs.launches.inc()
+	bs.busyMS.add(float64(end - start))
 	r.emitLocked(traceEv{kind: evKernel, name: r.tab.id(kernel), s1: r.tab.id(implID),
 		i1: int64(batch), ts: us(start), dur: us(end - start), pid: int32(r.session), tid: bs.tid})
 	r.mu.Unlock()
@@ -652,26 +628,34 @@ const (
 	modeBackground = "background"
 )
 
+// fpgaSeriesLocked resolves a board's FPGA reconfiguration series once:
+// at registration for an FPGA, or at the first bitstream load on a board
+// the runtime never registered.
+func (r *Recorder) fpgaSeriesLocked(bs *boardState) {
+	if bs.reconfigFG != nil {
+		return
+	}
+	bs.reconfigFG = r.reg.get("poly_device_reconfigs_total", "FPGA bitstream loads per board.",
+		kindCounter, Labels{"device", bs.name, "mode", modeForeground})
+	bs.reconfigBG = r.reg.get("poly_device_reconfigs_total", "",
+		kindCounter, Labels{"device", bs.name, "mode", modeBackground})
+	bs.reconfigStall = r.reg.get("poly_device_reconfig_stall_ms_total",
+		"Milliseconds boards spent reconfiguring.", kindCounter, Labels{"device", bs.name})
+}
+
 // ReconfigStart implements Sink (the device.Observer subset).
 func (r *Recorder) ReconfigStart(device, implID string, at sim.Time, stallMS float64, background bool) {
 	r.mu.Lock()
 	bs := r.boardLocked(device)
-	if bs.reconfigFG == nil {
-		bs.reconfigFG = r.reg.getLocked("poly_device_reconfigs_total", "FPGA bitstream loads per board.",
-			kindCounter, Labels{"device", device, "mode", modeForeground})
-		bs.reconfigBG = r.reg.getLocked("poly_device_reconfigs_total", "",
-			kindCounter, Labels{"device", device, "mode", modeBackground})
-		bs.reconfigStall = r.reg.getLocked("poly_device_reconfig_stall_ms_total",
-			"Milliseconds boards spent reconfiguring.", kindCounter, Labels{"device", device})
-	}
+	r.fpgaSeriesLocked(bs)
 	mode := r.in.modeFG
 	if background {
 		mode = r.in.modeBG
-		bs.reconfigBG.incLocked()
+		bs.reconfigBG.inc()
 	} else {
-		bs.reconfigFG.incLocked()
+		bs.reconfigFG.inc()
 	}
-	bs.reconfigStall.addLocked(stallMS)
+	bs.reconfigStall.add(stallMS)
 	r.emitLocked(traceEv{kind: evReconfig, name: r.in.reconfig, ts: us(at), dur: stallMS * 1000,
 		pid: int32(r.session), tid: bs.tid, s1: r.tab.id(implID), s2: mode})
 	r.mu.Unlock()
@@ -681,7 +665,7 @@ func (r *Recorder) ReconfigStart(device, implID string, at sim.Time, stallMS flo
 func (r *Recorder) DVFSChanged(device string, level int, at sim.Time) {
 	r.mu.Lock()
 	bs := r.boardLocked(device)
-	bs.dvfs.setLocked(float64(level))
+	bs.dvfs.set(float64(level))
 	r.emitLocked(traceEv{kind: evDVFS, name: r.in.dvfs, ts: us(at),
 		pid: int32(r.session), tid: bs.tid, i1: int64(level)})
 	r.mu.Unlock()
@@ -691,9 +675,6 @@ func (r *Recorder) DVFSChanged(device string, level int, at sim.Time) {
 func (r *Recorder) TraceDropped() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.trace == nil {
-		return 0
-	}
 	return r.trace.dropped
 }
 
@@ -701,9 +682,6 @@ func (r *Recorder) TraceDropped() int {
 func (r *Recorder) TraceEventCount() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.trace == nil {
-		return 0
-	}
 	return r.trace.n
 }
 
@@ -712,11 +690,8 @@ func (r *Recorder) TraceEventCount() int {
 func (r *Recorder) WriteTrace(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.trace == nil {
-		return writeTraceEvents(w, r.tab)
-	}
 	if d := r.trace.dropped; d > 0 {
-		r.cDropped.setLocked(float64(d))
+		r.cDropped.set(float64(d))
 	}
 	return r.trace.writeTrace(w, r.tab)
 }
@@ -732,22 +707,22 @@ func (r *Recorder) syncDerivedLocked() {
 		if s.Count() == 0 {
 			continue
 		}
-		r.stageP50[i].setLocked(s.Percentile(50))
-		r.stageP95[i].setLocked(s.Percentile(95))
-		r.stageP99[i].setLocked(s.Percentile(99))
+		r.stageP50[i].set(s.Percentile(50))
+		r.stageP95[i].set(s.Percentile(95))
+		r.stageP99[i].set(s.Percentile(99))
 	}
 	shortBurn, longBurn, shortVio, longVio := r.slo.rates()
-	r.gBurnShort.setLocked(shortBurn)
-	r.gBurnLong.setLocked(longBurn)
-	r.gVioShort.setLocked(shortVio)
-	r.gVioLong.setLocked(longVio)
+	r.gBurnShort.set(shortBurn)
+	r.gBurnLong.set(longBurn)
+	r.gVioShort.set(shortVio)
+	r.gVioLong.set(longVio)
 	if r.slo.alerting {
-		r.gBurnAlert.setLocked(1)
+		r.gBurnAlert.set(1)
 	} else {
-		r.gBurnAlert.setLocked(0)
+		r.gBurnAlert.set(0)
 	}
-	if r.trace != nil && r.trace.dropped > 0 {
-		r.cDropped.setLocked(float64(r.trace.dropped))
+	if r.trace.dropped > 0 {
+		r.cDropped.set(float64(r.trace.dropped))
 	}
 }
 
@@ -757,7 +732,7 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.syncDerivedLocked()
-	return r.reg.writeLocked(w)
+	return r.reg.write(w)
 }
 
 // MetricsHandler serves WritePrometheus over HTTP — mount it at /metrics
