@@ -61,8 +61,8 @@ const (
 // itself on the live plan mix, so such loads admit straight through and
 // staging resumes the moment the plan mix turns co-executable again.
 func planCoexecutable(p *sched.Plan) bool {
-	for _, a := range p.Assignments {
-		if a.Impl != nil && a.Impl.Platform == device.GPU && a.Impl.Config.Batch >= 2 {
+	for i := range p.Assignments {
+		if a := &p.Assignments[i]; a.Impl != nil && a.Impl.Platform == device.GPU && a.Impl.Config.Batch >= 2 {
 			return true
 		}
 	}

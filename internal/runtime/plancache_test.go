@@ -38,31 +38,55 @@ func polySession(tb testing.TB, b Bench, cacheCap int, opts Options) *Server {
 
 // TestServeCachedMatchesUncached replays the same Poisson trace through
 // two identical sessions — plan cache on vs off — and requires the runs to
-// be indistinguishable: bit-identical latency samples, power series, task
-// mix, reconfiguration count, and energy. This is the end-to-end form of
-// the memoization soundness contract: if any cached plan differed from
-// cold planning, the event-driven simulation would diverge and some series
-// below would split.
+// be indistinguishable (see serveCachedMatchesUncached). This is the
+// end-to-end form of the memoization soundness contract: if any cached
+// plan differed from cold planning, the event-driven simulation would
+// diverge and some series would split.
 func TestServeCachedMatchesUncached(t *testing.T) {
+	sv := serveCachedMatchesUncached(t, 40, 20000, 7)
+	// The trace must actually exercise the cache. (A Poisson process
+	// presents continuously-valued backlogs, so hits come only from the
+	// recurring idle/light signatures — the >50 % steady-state hit-rate
+	// requirement is asserted under constant-interval load, where the
+	// admission-time state genuinely recurs; see TestServeConstantLoadHitRate.)
+	if hits, misses := sv.PlannerCacheStats(); hits == 0 {
+		t.Fatalf("cached session never hit (hits=%d misses=%d)", hits, misses)
+	}
+}
+
+// TestServeCachedMatchesUncachedAtKnee is the same contract at the QoS
+// knee (80 RPS Poisson), where almost no plan repeats and the plan cache
+// stops retaining plans during long miss streaks. The bypass must leave
+// the run bit-identical too.
+func TestServeCachedMatchesUncachedAtKnee(t *testing.T) {
+	sv := serveCachedMatchesUncached(t, 80, 30000, 1)
+	// The bypass engaged: a cache that kept every miss would hold one
+	// entry per miss (the run plans far fewer than its capacity).
+	_, misses := sv.PlannerCacheStats()
+	if n := sv.planner.(*sched.Scheduler).PlanCacheLen(); n >= misses {
+		t.Fatalf("cache holds %d plans after %d misses: the miss-streak bypass never engaged", n, misses)
+	}
+}
+
+// serveCachedMatchesUncached serves one Poisson trace through a session
+// with the default plan cache and one with it disabled, requires
+// bit-identical latency samples, power series, task mix, reconfiguration
+// count and energy, and returns the cached session.
+func serveCachedMatchesUncached(t *testing.T, rps, durationMS float64, seed int64) *Server {
+	t.Helper()
 	b := benches(t, "ASR")[cluster.HeterPoly]
-	const (
-		rps        = 40.0
-		durationMS = 20000.0
-		seed       = 7
-	)
 	warm := 0.2 * durationMS
 
-	run := func(cacheCap int) (Result, []float64, int, int) {
+	run := func(cacheCap int) (*Server, Result, []float64) {
 		sv := polySession(t, b, cacheCap, Options{WarmupMS: warm})
 		NewWorkload(seed).InjectPoisson(sv, rps, 0, sim.Time(durationMS))
 		res := sv.Collect()
-		h, m := sv.PlannerCacheStats()
-		return res, sv.LatencySamples(), h, m
+		return sv, res, sv.LatencySamples()
 	}
 
-	resC, latC, hits, misses := run(-1) // default cache
-	resU, latU, hu, mu := run(0)        // disabled
-	if hu != 0 || mu != 0 {
+	svC, resC, latC := run(-1) // default cache
+	svU, resU, latU := run(0)  // disabled
+	if hu, mu := svU.PlannerCacheStats(); hu != 0 || mu != 0 {
 		t.Fatalf("uncached session recorded cache traffic: hits=%d misses=%d", hu, mu)
 	}
 
@@ -105,15 +129,7 @@ func TestServeCachedMatchesUncached(t *testing.T) {
 				resU.Power.Times[i], resU.Power.Values[i])
 		}
 	}
-
-	// The trace must actually exercise the cache. (A Poisson process
-	// presents continuously-valued backlogs, so hits come only from the
-	// recurring idle/light signatures — the >50 % steady-state hit-rate
-	// requirement is asserted under constant-interval load, where the
-	// admission-time state genuinely recurs; see TestServeConstantLoadHitRate.)
-	if hits == 0 {
-		t.Fatalf("cached session never hit (hits=%d misses=%d)", hits, misses)
-	}
+	return svC
 }
 
 // TestServeConstantLoadHitRate checks the cache earns its keep on the

@@ -285,7 +285,6 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 // PCIe transfer cost precomputed from the edge's byte volume.
 type progIndex struct {
 	names     []string
-	kidx      map[string]int32
 	predCount []int32
 	sources   []int32
 	succs     [][]succEdge
@@ -301,10 +300,10 @@ func (sv *Server) buildProgIndex() {
 	ks := sv.prog.Kernels()
 	pi := &sv.pi
 	pi.names = make([]string, len(ks))
-	pi.kidx = make(map[string]int32, len(ks))
+	kidx := make(map[string]int32, len(ks))
 	for i, k := range ks {
 		pi.names[i] = k.Name
-		pi.kidx[k.Name] = int32(i)
+		kidx[k.Name] = int32(i)
 	}
 	pi.predCount = make([]int32, len(ks))
 	pi.succs = make([][]succEdge, len(ks))
@@ -315,7 +314,7 @@ func (sv *Server) buildProgIndex() {
 		}
 		for _, e := range sv.prog.Succs(k.Name) {
 			pi.succs[i] = append(pi.succs[i], succEdge{
-				to:         pi.kidx[e.To],
+				to:         kidx[e.To],
 				transferMS: sv.node.PCIe.TransferMS(e.Bytes),
 			})
 		}
@@ -655,13 +654,14 @@ func (sv *Server) startRequest(arrivedAt sim.Time, plan *sched.Plan, span *telem
 		r.ks = r.ks[:nk]
 	}
 	r.waiting = append(r.waiting[:0], pi.predCount...)
-	// One walk over the assignments in planned start order both indexes
-	// them by kernel and records intended FPGA residency: when a plan
-	// places two kernels on the same board, the later one's bitstream is
-	// the residency the board ends up with. (plan.Assignments is a map —
-	// ranging over it directly would make the winner random.)
+	// The plan and the server index kernels alike, in declaration order.
+	for ki := range plan.Assignments {
+		r.assign[ki] = &plan.Assignments[ki]
+	}
+	// Intended FPGA residency is recorded in planned start order: when a
+	// plan places two kernels on the same board, the later one's
+	// bitstream is the residency the board ends up with.
 	for _, a := range plan.Order() {
-		r.assign[pi.kidx[a.Kernel]] = a
 		if a.Impl.Platform == device.FPGA {
 			sv.intended[a.Device] = a.Impl.ID
 		}

@@ -3,6 +3,8 @@ package sched
 import (
 	"encoding/binary"
 	"math"
+
+	"poly/internal/model"
 )
 
 // PlanCache memoizes complete request plans keyed by an exact signature
@@ -49,6 +51,8 @@ type PlanCache struct {
 	n            int32
 	head, tail   int32
 	hits, misses int
+	// streak counts the misses since the last hit (see missStreak).
+	streak int
 }
 
 // planChunk is the slab's growth step, in entries.
@@ -81,9 +85,25 @@ func newPlanCache(capacity int) *PlanCache {
 	return &PlanCache{capacity: capacity, index: make(map[string]int32), head: -1, tail: -1}
 }
 
+// Miss-streak bypass. When the node's state stops repeating (Poisson
+// arrivals at the QoS knee), every plan is a miss, and caching it only
+// copies a key and retains a plan that never hits. After missStreak
+// consecutive misses memo stops caching, except every missReadmit-th
+// miss, until the next hit ends the streak. Lookups and counters are
+// unchanged, and a plan is the same whether cached or not, so the bypass
+// only ever turns a would-be hit into an identical cold plan. The values
+// come from seed-1 perfbench runs: the longest streak on node-steady is
+// its 63-miss warm-up, so the bypass never engages there; fleet-faults
+// streaks reach 2,641 misses, and the bypass raises its cold plans by
+// 0.34 % (25,441 → 25,528; a re-admission period of 16 or 256 gave
+// 25,515 and 25,528); node-peak repeats 22 of 154k plans.
+const (
+	missStreak  = 256
+	missReadmit = 64
+)
+
 // memo returns the plan cached under key, or runs cold, seals its plan
-// and caches it. The plan is pre-sorted before sealing so every hit
-// carries the start order and the serving loop never re-sorts. key may
+// and caches it unless a miss streak has it bypassing the cache. key may
 // be the caller's scratch buffer: put copies it.
 func (c *PlanCache) memo(key []byte, cold func() (*Plan, error)) (*Plan, error) {
 	if hit := c.get(key); hit != nil {
@@ -93,9 +113,10 @@ func (c *PlanCache) memo(key []byte, cold func() (*Plan, error)) (*Plan, error) 
 	if err != nil {
 		return nil, err
 	}
-	p.Order()
 	p.seal()
-	c.put(key, p)
+	if c.streak <= missStreak || (c.streak-missStreak)%missReadmit == 0 {
+		c.put(key, p)
+	}
 	return p, nil
 }
 
@@ -107,9 +128,11 @@ func (c *PlanCache) get(key []byte) *Plan {
 	i, ok := c.index[string(key)]
 	if !ok {
 		c.misses++
+		c.streak++
 		return nil
 	}
 	c.hits++
+	c.streak = 0
 	c.toFront(i)
 	p := c.at(i).plan
 	if planCheckEnabled {
@@ -194,18 +217,76 @@ func (c *PlanCache) Stats() (hits, misses int) {
 	return c.hits, c.misses
 }
 
+// residencies resolves the boards' resident-bitstream IDs to dense codes
+// for the plan key and to implementations for the planning loops. Code 0
+// is the blank board. A planner registers its own implementations; any
+// other ID gets the next code, with a nil implementation, the first time
+// a board reports it, so codes match exactly when IDs do.
+type residencies struct {
+	byID  map[string]int32
+	impls []*model.Impl // by code
+	// res is each device position's residency from the last resolve.
+	res []residency
+}
+
+// residency is one device position's resolved resident bitstream: the
+// ID as the caller gave it, its implementation and its code. The zero
+// value is the blank board's.
+type residency struct {
+	id   string
+	impl *model.Impl
+	code int32
+}
+
+func newResidencies() residencies {
+	return residencies{byID: map[string]int32{}, impls: []*model.Impl{nil}}
+}
+
+// intern returns id's code, registering im under it when im is non-nil.
+func (t *residencies) intern(id string, im *model.Impl) int32 {
+	if id == "" {
+		return 0
+	}
+	c, ok := t.byID[id]
+	if !ok {
+		c = int32(len(t.impls))
+		t.byID[id] = c
+		t.impls = append(t.impls, im)
+	} else if im != nil {
+		t.impls[c] = im
+	}
+	return c
+}
+
+// resolve fills res for one planning call. Residency rarely changes
+// between calls, so a position whose ID matches the previous call's
+// keeps that resolution instead of hashing the ID.
+func (t *residencies) resolve(devices []DeviceState) {
+	if cap(t.res) < len(devices) {
+		t.res = make([]residency, len(devices))
+	}
+	t.res = t.res[:len(devices)]
+	for i := range devices {
+		if id := devices[i].LoadedImpl; id != t.res[i].id {
+			c := t.intern(id, nil)
+			t.res[i] = residency{id: id, impl: t.impls[c], code: c}
+		}
+	}
+}
+
 // appendPlanKeyDevices appends the exact device-state signature to b.
-// Strings are NUL-terminated (device names and impl IDs never contain
-// NUL) and floats are written as raw IEEE-754 bits, so two states map to
-// the same key iff the planner would see bit-identical inputs.
-func appendPlanKeyDevices(b []byte, devices []DeviceState) []byte {
+// res[i] is device i's resolved residency, whose code the planner interns
+// one-to-one with LoadedImpl. Names are NUL-terminated (device
+// names never contain NUL) and floats are written as raw IEEE-754 bits,
+// so two states map to the same key iff the planner would see
+// bit-identical inputs.
+func appendPlanKeyDevices(b []byte, devices []DeviceState, res []residency) []byte {
 	for i := range devices {
 		d := &devices[i]
 		b = append(b, d.Name...)
 		b = append(b, 0, byte(d.Class))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.FreeAtMS))
-		b = append(b, d.LoadedImpl...)
-		b = append(b, 0)
+		b = binary.LittleEndian.AppendUint32(b, uint32(res[i].code))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.ReconfigMS))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.FreqScale))
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.lastEndMS))

@@ -139,18 +139,24 @@ func TestPlanCacheLRUEviction(t *testing.T) {
 	}
 }
 
-// TestPlanCacheMatchesLRUModel runs a randomized script of lookups and
-// memoized plans against the cache and a reference exact-LRU model (a
-// recency-ordered key list) at every capacity from 1 to 64. Every call
-// must hit exactly when the model holds the key and return the plan
-// cached under it, a memo miss must run the cold planner once, and Len
-// must equal the model's size after every step.
+// TestPlanCacheMatchesLRUModel runs randomized scripts of lookups and
+// memoized plans against the cache and a reference model at every
+// capacity from 1 to 64: an exact LRU (a recency-ordered key list) plus
+// the miss-streak rule, under which a memo miss is cached only while the
+// misses since the last hit number at most missStreak, or on every
+// missReadmit-th miss after that. Every call must hit exactly when the
+// model holds the key and return the plan cached under it, a memo miss
+// must run the cold planner once, and Len must equal the model's size
+// after every step. Each script interleaves bursts of never-repeating
+// keys long enough to cross the streak threshold, after which the
+// recurring keys hit again and end the streak.
 func TestPlanCacheMatchesLRUModel(t *testing.T) {
 	for capacity := 1; capacity <= 64; capacity++ {
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		c := newPlanCache(capacity)
 		var lru []string // most recently used first
 		plans := map[string]*Plan{}
+		streak, longest := 0, 0
 		touch := func(k string) {
 			if i := slices.Index(lru, k); i >= 0 {
 				lru = slices.Delete(lru, i, i+1)
@@ -161,11 +167,27 @@ func TestPlanCacheMatchesLRUModel(t *testing.T) {
 			}
 		}
 		keySpace := 2*capacity + 3
-		for step := 0; step < 3000; step++ {
+		burst, fresh := 0, 0
+		// Bursts of never-repeating keys start at fixed steps.
+		for step := 0; step < 6000; step++ {
+			if step%1500 == 1000 {
+				burst = missStreak + missReadmit + rng.Intn(3*missReadmit)
+			}
 			k := fmt.Sprintf("key-%d", rng.Intn(keySpace))
+			if burst > 0 {
+				burst--
+				fresh++
+				k = fmt.Sprintf("fresh-%d", fresh)
+			}
 			want := slices.Contains(lru, k)
+			if want {
+				streak = 0
+			} else {
+				streak++
+				longest = max(longest, streak)
+			}
 			var got *Plan
-			if rng.Intn(3) == 0 {
+			if burst > 0 || rng.Intn(3) == 0 {
 				colds := 0
 				var err error
 				got, err = c.memo([]byte(k), func() (*Plan, error) {
@@ -178,13 +200,14 @@ func TestPlanCacheMatchesLRUModel(t *testing.T) {
 				if (colds == 0) != want || colds > 1 {
 					t.Fatalf("capacity %d step %d: memo(%s) ran %d cold plans, model hit=%v", capacity, step, k, colds, want)
 				}
-				if !want {
+				if !want && (streak <= missStreak || (streak-missStreak)%missReadmit == 0) {
 					plans[k] = got
+					touch(k)
 				}
 			} else if got = c.get([]byte(k)); (got != nil) != want {
 				t.Fatalf("capacity %d step %d: get(%s) hit=%v, model says %v", capacity, step, k, got != nil, want)
 			}
-			if got != nil {
+			if want {
 				if got != plans[k] {
 					t.Fatalf("capacity %d step %d: %s returned a plan it did not cache", capacity, step, k)
 				}
@@ -193,6 +216,9 @@ func TestPlanCacheMatchesLRUModel(t *testing.T) {
 			if c.Len() != len(lru) {
 				t.Fatalf("capacity %d step %d: Len() = %d, model holds %d", capacity, step, c.Len(), len(lru))
 			}
+		}
+		if longest <= missStreak+missReadmit {
+			t.Fatalf("capacity %d: longest miss streak %d never reached a re-admission past the threshold", capacity, longest)
 		}
 	}
 }
@@ -240,7 +266,7 @@ func TestPlanCacheHitIsSharedImmutable(t *testing.T) {
 		t.Fatalf("order has %d entries, want %d", len(ord), len(second.Assignments))
 	}
 	for _, a := range ord {
-		if second.Assignments[a.Kernel] != a {
+		if second.Assignment(a.Kernel) != a {
 			t.Fatalf("order entry %q does not point at the plan's own assignment", a.Kernel)
 		}
 	}
@@ -258,9 +284,9 @@ func TestPlanCacheHitIsSharedImmutable(t *testing.T) {
 	if !hit {
 		t.Fatal("third call must hit")
 	}
-	for k, a := range third.Assignments {
+	for _, a := range third.Assignments {
 		if a.StartMS < 0 {
-			t.Fatalf("view rebase leaked into the shared plan (kernel %q)", k)
+			t.Fatalf("view rebase leaked into the shared plan (kernel %q)", a.Kernel)
 		}
 	}
 	// Reset recycles the view's slot array for the next request.
@@ -288,15 +314,12 @@ func plansBitIdentical(t *testing.T, label string, a, b *Plan) {
 	if len(a.Assignments) != len(b.Assignments) {
 		t.Fatalf("%s: %d vs %d assignments", label, len(a.Assignments), len(b.Assignments))
 	}
-	for k, x := range a.Assignments {
-		y := b.Assignments[k]
-		if y == nil {
-			t.Fatalf("%s: kernel %q missing from second plan", label, k)
-		}
-		if x.Impl != y.Impl || x.Device != y.Device ||
+	for i := range a.Assignments {
+		x, y := &a.Assignments[i], &b.Assignments[i]
+		if x.Kernel != y.Kernel || x.Impl != y.Impl || x.Device != y.Device ||
 			f64(x.StartMS) != f64(y.StartMS) || f64(x.EndMS) != f64(y.EndMS) ||
 			f64(x.ExecMS) != f64(y.ExecMS) || f64(x.CommitMS) != f64(y.CommitMS) {
-			t.Fatalf("%s: kernel %q differs:\n  %+v\n  %+v", label, k, x, y)
+			t.Fatalf("%s: kernel %q differs:\n  %+v\n  %+v", label, x.Kernel, x, y)
 		}
 	}
 	ao, bo := a.Order(), b.Order()
@@ -429,10 +452,52 @@ func TestImplIDsInterned(t *testing.T) {
 	if seen == 0 {
 		t.Fatal("no implementations inspected")
 	}
-	// The scheduler's identity index must round-trip every frontier impl.
-	for id, im := range s.implByID {
-		if ImplID(im) != id {
-			t.Fatalf("implByID key %q does not match its impl's ID %q", id, ImplID(im))
+	// The scheduler's identity index must round-trip every frontier impl
+	// to the same pointer: commit keeps a board's resolved residency as
+	// the placed impl itself, which matches resolving its ID only if IDs
+	// are unique across the design spaces.
+	for _, k := range prog.Kernels() {
+		for _, class := range []device.Class{device.GPU, device.FPGA} {
+			if sp := ks.Space(k.Name, class); sp != nil {
+				for _, im := range sp.Pareto {
+					if got := s.ImplByID(ImplID(im)); got != im {
+						t.Fatalf("ImplByID(%q) = %p, want the frontier impl %p", ImplID(im), got, im)
+					}
+				}
+			}
 		}
+	}
+}
+
+// TestScheduleAllocs counts allocations on both planning paths: a hit
+// allocates nothing, and once a miss streak passes missStreak a miss
+// allocates only the plan it publishes (the Plan and its assignment
+// array). Counts, unlike timings, cannot move with runner noise.
+func TestScheduleAllocs(t *testing.T) {
+	s, _, _ := buildSched(t)
+	s.SetLoadHint(40)
+	devs := steadyDevices(s)
+	schedule := func() {
+		if _, err := s.Schedule(devs, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	schedule() // cache the steady state
+	if n := testing.AllocsPerRun(100, schedule); n != 0 {
+		t.Fatalf("a plan-cache hit allocated %v times, want 0", n)
+	}
+	step := 0
+	miss := func() {
+		step++
+		devs[0].FreeAtMS = float64(step) * 1e-3 // never repeats
+		schedule()
+	}
+	for step < missStreak {
+		miss()
+	}
+	// AllocsPerRun adds one warm-up call; stop short of the next
+	// re-admitted miss, which also copies its key into the cache.
+	if n := testing.AllocsPerRun(missReadmit-2, miss); n > 2 {
+		t.Fatalf("a bypassed miss allocated %v times, want at most 2 (the published plan)", n)
 	}
 }

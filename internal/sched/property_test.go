@@ -44,7 +44,7 @@ func TestSchedulePropertyRandomDeviceStates(t *testing.T) {
 		}
 		// Structural validity.
 		for _, e := range prog.Edges() {
-			if p1.Assignments[e.To].StartMS < p1.Assignments[e.From].EndMS-1e-9 {
+			if p1.Assignment(e.To).StartMS < p1.Assignment(e.From).EndMS-1e-9 {
 				return false
 			}
 		}

@@ -56,6 +56,11 @@ type DeviceState struct {
 	// start before it (no cross-bitstream pipelining, no cross-kernel
 	// batching); the same implementation may share from FreeAtMS.
 	lastEndMS float64
+	// loaded is planner-internal: LoadedImpl resolved to the scheduler's
+	// implementation (nil when blank or outside its design spaces). It is
+	// resolved once per Schedule call and kept in step with LoadedImpl by
+	// commit, so the planning loops never hash an ID.
+	loaded *model.Impl
 }
 
 // availableAt returns when a task of the given implementation could start
@@ -171,8 +176,9 @@ type Assignment struct {
 
 // Plan is a complete placement of one request's kernel DAG.
 type Plan struct {
-	// Assignments maps kernel name → placement.
-	Assignments map[string]*Assignment
+	// Assignments holds one placement per kernel, indexed by the kernel's
+	// declaration order in the program.
+	Assignments []Assignment
 	// MakespanMS is the planned end-to-end latency L.
 	MakespanMS float64
 	// EnergyMJ is Σ power × busy-time over the assignments.
@@ -181,11 +187,12 @@ type Plan struct {
 	BoundMS float64
 	// EnergySwaps counts Step-2 implementation replacements applied.
 	EnergySwaps int
-	// order caches Order()'s result. The planners replace the whole Plan
-	// value when they revise a plan (which resets the cache to nil), and
-	// finished plans are immutable, so the cache can never go stale.
-	// Callers must treat the returned slice as read-only.
-	order []*Assignment
+	// order is Assignments sorted by planned start time, built with the
+	// plan. Programs of up to len(orderBuf) kernels (every shipped
+	// application has at most 4) keep it in orderBuf, inside the Plan's
+	// own allocation, so publishing a plan costs two allocations.
+	order    []*Assignment
+	orderBuf [8]*Assignment
 	// sealed marks the plan frozen for zero-copy sharing via the plan
 	// cache; sum is its plancheck fingerprint (see plancache.go).
 	sealed bool
@@ -195,28 +202,54 @@ type Plan struct {
 // SlackMS returns LB − L (negative when the bound is missed).
 func (p *Plan) SlackMS() float64 { return p.BoundMS - p.MakespanMS }
 
-// Order returns the kernels sorted by planned start time. The sorted
-// slice is computed once and cached: the serving loop walks every
-// admitted request's plan in start order, and re-sorting per admit was
-// measurable at trace-replay scale. Callers must not mutate the result.
-func (p *Plan) Order() []*Assignment {
-	if p.order != nil && len(p.order) == len(p.Assignments) {
-		return p.order
-	}
-	out := make([]*Assignment, 0, len(p.Assignments))
-	for _, a := range p.Assignments {
-		out = append(out, a)
-	}
-	// slices.SortFunc, not sort.Slice: the reflection-based swapper
-	// allocates, and Order runs once per freshly built plan.
-	slices.SortFunc(out, func(a, b *Assignment) int {
-		if a.StartMS != b.StartMS {
-			return cmp.Compare(a.StartMS, b.StartMS)
+// Order returns the assignments sorted by planned start time, then kernel
+// name. The serving loop walks every admitted request's plan in this
+// order, so it is built once when the plan is published. Callers must not
+// mutate the result.
+func (p *Plan) Order() []*Assignment { return p.order }
+
+// Assignment returns the kernel's placement, or nil if the plan has none.
+func (p *Plan) Assignment(kernel string) *Assignment {
+	for i := range p.Assignments {
+		if p.Assignments[i].Kernel == kernel {
+			return &p.Assignments[i]
 		}
-		return strings.Compare(a.Kernel, b.Kernel)
-	})
-	p.order = out
-	return out
+	}
+	return nil
+}
+
+// newPlan publishes a finished placement, one assignment per kernel in
+// declaration order, as a Plan with its start order. Both planners
+// publish through it.
+func newPlan(slab []Assignment, boundMS, makespanMS, energyMJ float64, swaps int) *Plan {
+	p := &Plan{Assignments: make([]Assignment, len(slab)), BoundMS: boundMS,
+		MakespanMS: makespanMS, EnergyMJ: energyMJ, EnergySwaps: swaps}
+	copy(p.Assignments, slab)
+	p.order = p.orderBuf[:0]
+	if len(slab) > len(p.orderBuf) {
+		p.order = make([]*Assignment, 0, len(slab))
+	}
+	// Insertion sort: plans hold a handful of kernels, and the comparator
+	// is total (kernel names are unique), so the order is the one any
+	// sort would produce.
+	for i := range p.Assignments {
+		a := &p.Assignments[i]
+		j := len(p.order)
+		p.order = append(p.order, a)
+		for ; j > 0 && startsBefore(a, p.order[j-1]); j-- {
+			p.order[j] = p.order[j-1]
+		}
+		p.order[j] = a
+	}
+	return p
+}
+
+// startsBefore orders assignments by planned start time, then kernel name.
+func startsBefore(a, b *Assignment) bool {
+	if c := cmp.Compare(a.StartMS, b.StartMS); c != 0 {
+		return c < 0
+	}
+	return a.Kernel < b.Kernel
 }
 
 // Scheduler plans requests of one program over a node's devices.
@@ -254,9 +287,10 @@ type Scheduler struct {
 	order []string
 	// wl caches the latency priorities.
 	wl map[string]float64
-	// implByID resolves implementation identities, used to recognize the
-	// bitstream already resident on an FPGA (stickiness).
-	implByID map[string]*model.Impl
+	// resid interns implementation identities (New registers every
+	// frontier implementation) and resolves the boards' resident
+	// bitstreams once per call, for the planning loops and the plan key.
+	resid residencies
 	// gpuCands precomputes the Step-1 GPU candidate list per kernel
 	// (min-latency variant plus, when distinct, the max-throughput
 	// batched variant) so placement loops never allocate or rescan the
@@ -352,14 +386,14 @@ func New(prog *opencl.Program, spaces *dse.KernelSpaces) (*Scheduler, error) {
 	}
 	s := &Scheduler{prog: prog, spaces: spaces, pcie: device.DefaultPCIe, slack: defaultSlackFactor,
 		batchN:   1,
-		implByID: make(map[string]*model.Impl),
+		resid:    newResidencies(),
 		gpuCands: make(map[string][]*model.Impl),
 		cache:    newPlanCache(defaultPlanCacheCapacity)}
 	for _, k := range prog.Kernels() {
 		for _, class := range []device.Class{device.GPU, device.FPGA} {
 			if sp := spaces.Space(k.Name, class); sp != nil {
 				for _, im := range sp.Pareto {
-					s.implByID[ImplID(im)] = im
+					s.resid.intern(ImplID(im), im)
 				}
 			}
 		}
@@ -385,27 +419,16 @@ func New(prog *opencl.Program, spaces *dse.KernelSpaces) (*Scheduler, error) {
 // lookup (priority order, predecessor edges, candidate lists) to dense
 // indices, so the planning inner loops never consult a map.
 func (s *Scheduler) buildIndex() {
-	ks := s.prog.Kernels()
-	nk := len(ks)
-	s.knames = make([]string, nk)
-	s.kidx = make(map[string]int32, nk)
-	for i, k := range ks {
-		s.knames[i] = k.Name
-		s.kidx[k.Name] = int32(i)
-	}
+	s.knames, s.kidx, s.predsIdx = internKernels(s.prog, s.pcie)
+	nk := len(s.knames)
 	s.orderIdx = make([]int32, len(s.order))
 	for i, name := range s.order {
 		s.orderIdx[i] = s.kidx[name]
 	}
-	s.predsIdx = make([][]predEdge, nk)
 	s.paretoGPU = make([][]*model.Impl, nk)
 	s.paretoFPGA = make([][]*model.Impl, nk)
 	s.gpuCandsIdx = make([][]*model.Impl, nk)
 	for i, name := range s.knames {
-		for _, e := range s.prog.Preds(name) {
-			s.predsIdx[i] = append(s.predsIdx[i],
-				predEdge{from: s.kidx[e.From], transferMS: s.transferMS(e)})
-		}
 		if sp := s.spaces.Space(name, device.GPU); sp != nil {
 			s.paretoGPU[i] = sp.Pareto
 		}
@@ -415,6 +438,27 @@ func (s *Scheduler) buildIndex() {
 		s.gpuCandsIdx[i] = s.gpuCands[name]
 	}
 	s.emptySlab = make([]Assignment, nk)
+}
+
+// internKernels interns a program's kernels to dense indices in
+// declaration order, with each kernel's predecessor edges — the PCIe
+// transfer already priced — in declaration-edge order, matching
+// Program.Preds exactly.
+func internKernels(prog *opencl.Program, pcie device.PCIeSpec) ([]string, map[string]int32, [][]predEdge) {
+	ks := prog.Kernels()
+	names := make([]string, len(ks))
+	kidx := make(map[string]int32, len(ks))
+	for i, k := range ks {
+		names[i] = k.Name
+		kidx[k.Name] = int32(i)
+	}
+	preds := make([][]predEdge, len(ks))
+	for i, name := range names {
+		for _, e := range prog.Preds(name) {
+			preds[i] = append(preds[i], predEdge{from: kidx[e.From], transferMS: pcie.TransferMS(e.Bytes)})
+		}
+	}
+	return names, kidx, preds
 }
 
 // candidatesIdx returns the Pareto implementations for a kernel index on
@@ -453,10 +497,14 @@ func (s *Scheduler) SetHealthEpoch(e uint64) { s.healthEpoch = e }
 const defaultSlackFactor = 0.6
 
 // SetSlackFactor adjusts how much of the latency bound Step 2 may plan
-// into, clamped to [0.1, 1]. The runtime's monitor feedback tightens it
-// when observed tails approach the bound and restores it when load
-// subsides (Section VI-C's self-correction loop).
+// into, clamped to [0.1, 1]; NaN leaves the factor unchanged. The
+// runtime's monitor feedback tightens it when observed tails approach the
+// bound and restores it when load subsides (Section VI-C's
+// self-correction loop).
 func (s *Scheduler) SetSlackFactor(f float64) {
+	if math.IsNaN(f) {
+		return
+	}
 	if f < 0.1 {
 		f = 0.1
 	}
@@ -483,9 +531,9 @@ func (s *Scheduler) ThroughputMode() bool { return s.tpMode }
 // quantized to whole RPS: the monitor's estimate is integral arrivals
 // over a fixed window (so quantization is exact for the governor), and
 // bucketing keeps float jitter in ad-hoc hints from fragmenting the
-// plan-cache key space.
+// plan-cache key space. Negative and NaN hints read as 0.
 func (s *Scheduler) SetLoadHint(rps float64) {
-	if rps < 0 {
+	if !(rps >= 0) {
 		rps = 0
 	}
 	s.loadRPS = math.Round(rps)
@@ -612,7 +660,24 @@ func (s *Scheduler) computePriorities() {
 
 // ImplByID resolves an implementation identity from this scheduler's
 // design spaces, or nil.
-func (s *Scheduler) ImplByID(id string) *model.Impl { return s.implByID[id] }
+func (s *Scheduler) ImplByID(id string) *model.Impl {
+	if c, ok := s.resid.byID[id]; ok {
+		return s.resid.impls[c]
+	}
+	return nil
+}
+
+// baseCopy copies the caller's devices, resolved by resid.resolve, into
+// the base scratch with their resident implementations; planning never
+// mutates the caller's device view.
+func (s *Scheduler) baseCopy(devices []DeviceState) []DeviceState {
+	base := append(s.scratchBase[:0], devices...)
+	for i := range base {
+		base[i].loaded = s.resid.res[i].impl
+	}
+	s.scratchBase = base
+	return base
+}
 
 // PreferredFPGAImpl returns the implementation the runtime should keep
 // resident for a kernel on otherwise-idle FPGAs: the most energy-
@@ -642,15 +707,17 @@ func (s *Scheduler) PreferredFPGAImpl(kernel string) *model.Impl {
 
 // resident returns the implementation loaded on an FPGA if it implements
 // the given kernel, else nil.
-func (s *Scheduler) resident(kernel string, d *DeviceState) *model.Impl {
-	if d.Class != device.FPGA || d.LoadedImpl == "" {
+func resident(kernel string, d *DeviceState) *model.Impl {
+	if d.Class != device.FPGA || d.loaded == nil || d.loaded.Kernel != kernel {
 		return nil
 	}
-	im := s.implByID[d.LoadedImpl]
-	if im == nil || im.Kernel != kernel {
-		return nil
-	}
-	return im
+	return d.loaded
+}
+
+// evicts reports whether placing the kernel on d would replace another
+// kernel's live FPGA bitstream.
+func evicts(kernel string, d *DeviceState) bool {
+	return d.Class == device.FPGA && d.loaded != nil && d.loaded.Kernel != kernel
 }
 
 // Schedule runs both optimization steps for one request. devices is the
@@ -673,6 +740,7 @@ func (s *Scheduler) Schedule(devices []DeviceState, boundMS float64) (*Plan, err
 	if boundMS <= 0 {
 		boundMS = s.prog.LatencyBoundMS
 	}
+	s.resid.resolve(devices)
 	if s.cache == nil {
 		return s.scheduleCold(devices, boundMS)
 	}
@@ -696,9 +764,10 @@ func (s *Scheduler) PlaceKernel(kernel string, devices []DeviceState) (*Assignme
 	var out Assignment
 	found := false
 	if ok {
-		work := append([]DeviceState(nil), devices...)
-		found = s.findPlacement(ki, work, s.emptySlab, false, &out) ||
-			s.findPlacement(ki, work, s.emptySlab, true, &out)
+		s.resid.resolve(devices)
+		base := s.baseCopy(devices)
+		found = s.findPlacement(ki, base, s.emptySlab, false, &out) ||
+			s.findPlacement(ki, base, s.emptySlab, true, &out)
 	}
 	if !found {
 		return nil, fmt.Errorf("sched: kernel %q has no implementation on any available device", kernel)
@@ -708,7 +777,8 @@ func (s *Scheduler) PlaceKernel(kernel string, devices []DeviceState) (*Assignme
 }
 
 // planKey renders the exact planning signature into the reused key
-// buffer: mode fields first, then the device vector.
+// buffer: mode fields first, then the device vector with its resolved
+// residency codes.
 func (s *Scheduler) planKey(devices []DeviceState, boundMS float64) []byte {
 	b := s.keyBuf[:0]
 	b = binary.LittleEndian.AppendUint64(b, s.healthEpoch)
@@ -721,22 +791,22 @@ func (s *Scheduler) planKey(devices []DeviceState, boundMS float64) []byte {
 	} else {
 		b = append(b, 0)
 	}
-	b = appendPlanKeyDevices(b, devices)
+	b = appendPlanKeyDevices(b, devices, s.resid.res)
 	s.keyBuf = b
 	return b
 }
 
-// scheduleCold runs the real two-step planner. All intermediate state
-// lives in the scheduler's reusable slabs; the only retained allocations
-// are the published Plan (one struct, one map, one backing array).
+// scheduleCold runs the real two-step planner on devices resolved by
+// resid.resolve. All intermediate state lives in the scheduler's reusable
+// slabs; the only allocations are the published Plan (one struct, one
+// backing array).
 func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan, error) {
-	// Work on copies: planning must not mutate the caller's device view,
-	// and Step 2 replays placements from the same initial state. The
-	// copies live in reusable scratch buffers — nothing below retains
-	// them past the call.
-	base := append(s.scratchBase[:0], devices...)
-	work := append(s.scratchWork[:0], devices...)
-	s.scratchBase, s.scratchWork = base, work
+	// Work on copies: Step 2 replays placements from the same initial
+	// state. The copies live in reusable scratch buffers — nothing below
+	// retains them past the call.
+	base := s.baseCopy(devices)
+	work := append(s.scratchWork[:0], base...)
+	s.scratchWork = work
 
 	cur, trial, best := &s.states[0], &s.states[1], &s.states[2]
 	cur.reset(len(s.knames))
@@ -758,24 +828,7 @@ func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan,
 
 	// Step 2 — energy-efficiency optimization on the slack.
 	swaps := s.optimizeEnergy(cur, trial, base, boundMS)
-	return s.buildPlan(cur, boundMS, swaps), nil
-}
-
-// buildPlan publishes the finished placement as a Plan: one backing array
-// of assignments, one name-keyed map over it.
-func (s *Scheduler) buildPlan(st *planState, boundMS float64, swaps int) *Plan {
-	nk := len(s.knames)
-	backing := make([]Assignment, nk)
-	p := &Plan{Assignments: make(map[string]*Assignment, nk), BoundMS: boundMS,
-		MakespanMS: st.makespanMS, EnergyMJ: st.energyMJ, EnergySwaps: swaps}
-	for ki := 0; ki < nk; ki++ {
-		if st.slab[ki].Impl == nil {
-			continue
-		}
-		backing[ki] = st.slab[ki]
-		p.Assignments[s.knames[ki]] = &backing[ki]
-	}
-	return p
+	return newPlan(cur.slab, boundMS, cur.makespanMS, cur.energyMJ, swaps), nil
 }
 
 // repairLatency iteratively moves kernels to the placement that most
@@ -808,13 +861,11 @@ func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceStat
 				if d.Class == device.GPU {
 					cands = s.gpuCandsIdx[ki]
 				}
-				if res := s.resident(kernel, d); res != nil {
+				if res := resident(kernel, d); res != nil {
 					candBuf[0] = res
 					cands = candBuf[:1]
-				} else if d.Class == device.FPGA && d.LoadedImpl != "" {
-					if other := s.implByID[d.LoadedImpl]; other != nil && other.Kernel != kernel {
-						continue // repair must not evict live bitstreams either
-					}
+				} else if evicts(kernel, d) {
+					continue // repair must not evict live bitstreams either
 				}
 				for _, im := range cands {
 					if im == a.Impl && d.Name == a.Device {
@@ -892,13 +943,13 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 		if d.Class == device.GPU {
 			cands = s.gpuCandsIdx[ki]
 		}
-		if res := s.resident(kernel, d); res != nil {
+		res := resident(kernel, d)
+		evict := evicts(kernel, d)
+		if res != nil {
 			candBuf[0] = res
 			cands = candBuf[:1]
-		} else if d.Class == device.FPGA && !allowEvict && d.LoadedImpl != "" {
-			if other := s.implByID[d.LoadedImpl]; other != nil && other.Kernel != kernel {
-				continue // never evict a live bitstream in the first pass
-			}
+		} else if evict && !allowEvict {
+			continue // never evict a live bitstream in the first pass
 		}
 		ready := s.estMS(ki, d, slab)
 		for _, im := range cands {
@@ -917,10 +968,8 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 			}
 			commit := d.commitMS(im, batchCap(im))
 			score := end + commitWeight*commit
-			if d.Class == device.FPGA && d.LoadedImpl != "" {
-				if other := s.implByID[d.LoadedImpl]; other != nil && other.Kernel != kernel {
-					score += d.ReconfigMS
-				}
+			if evict {
+				score += d.ReconfigMS
 			}
 			if !found || score < bestScore {
 				found = true
@@ -976,6 +1025,7 @@ func (s *Scheduler) commit(a *Assignment, devices []DeviceState) {
 			d.lastEndMS = a.EndMS
 		}
 		d.LoadedImpl = ImplID(a.Impl)
+		d.loaded = a.Impl
 		return
 	}
 }
@@ -1074,19 +1124,15 @@ func (s *Scheduler) rankedSwaps(st *planState, devices []DeviceState, boundMS fl
 			}
 			var candBuf [1]*model.Impl
 			cands := s.candidatesIdx(ki, d.Class)
-			if d.Class == device.FPGA && d.LoadedImpl != "" {
-				res := s.implByID[d.LoadedImpl]
-				switch {
-				case res != nil && res.Kernel == kernel:
-					// Sticky: a board already serving this kernel offers
-					// only its resident bitstream.
-					candBuf[0] = res
-					cands = candBuf[:1]
-				case res != nil:
-					// Never evict another kernel's live bitstream just to
-					// save energy; blank boards are the swap targets.
-					continue
-				}
+			if res := resident(kernel, d); res != nil {
+				// Sticky: a board already serving this kernel offers
+				// only its resident bitstream.
+				candBuf[0] = res
+				cands = candBuf[:1]
+			} else if evicts(kernel, d) {
+				// Never evict another kernel's live bitstream just to
+				// save energy; blank boards are the swap targets.
+				continue
 			}
 			var best rankedSwap
 			found := false

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"sort"
 	"testing"
 
@@ -102,14 +103,15 @@ func validatePlan(t *testing.T, p *Plan, prog *opencl.Program) {
 	}
 	// Dependencies respected.
 	for _, e := range prog.Edges() {
-		from, to := p.Assignments[e.From], p.Assignments[e.To]
+		from, to := p.Assignment(e.From), p.Assignment(e.To)
 		if to.StartMS < from.EndMS {
 			t.Fatalf("edge %s->%s violated: %v < %v", e.From, e.To, to.StartMS, from.EndMS)
 		}
 	}
 	// No overlap per device.
 	byDev := map[string][]*Assignment{}
-	for _, a := range p.Assignments {
+	for i := range p.Assignments {
+		a := &p.Assignments[i]
 		byDev[a.Device] = append(byDev[a.Device], a)
 	}
 	for dev, as := range byDev {
@@ -259,13 +261,12 @@ func TestFPGAReconfigPenaltyInPlanning(t *testing.T) {
 	}
 	k := p1.Order()[0].Kernel
 	loaded := []DeviceState{{Name: "fpga0", Class: device.FPGA, ReconfigMS: 80,
-		LoadedImpl: ImplID(p1.Assignments[k].Impl)}}
+		LoadedImpl: ImplID(p1.Assignment(k).Impl)}}
 	p2, err := s.Schedule(loaded, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Assignments[k].EndMS-p2.Assignments[k].StartMS >=
-		p1.Assignments[k].EndMS-p1.Assignments[k].StartMS {
+	if a1, a2 := p1.Assignment(k), p2.Assignment(k); a2.EndMS-a2.StartMS >= a1.EndMS-a1.StartMS {
 		t.Fatal("pre-loaded bitstream did not avoid the reconfiguration penalty")
 	}
 }
@@ -460,5 +461,51 @@ func TestBatchCap(t *testing.T) {
 	}
 	if batchCap(&model.Impl{Config: opt.Config{Batch: 8}}) != 8 {
 		t.Fatal("batch cap wrong")
+	}
+}
+
+// TestPlannerHintsSanitized checks the mode hints are made sane before
+// they reach planning or the plan key: NaN slack leaves the factor
+// unchanged (a NaN effective bound would accept every energy swap and
+// blow through the latency bound), NaN and negative load hints read as 0,
+// and out-of-range values clamp. Each plan must match one built from the
+// sane values it stands for.
+func TestPlannerHintsSanitized(t *testing.T) {
+	cases := []struct {
+		name                string
+		slack, load         float64
+		wantSlack, wantLoad float64
+	}{
+		{"NaN slack keeps the factor", math.NaN(), 40, defaultSlackFactor, 40},
+		{"slack above 1 clamps", 3, 40, 1, 40},
+		{"slack below 0.1 clamps", 0.01, 40, 0.1, 40},
+		{"NaN load reads as 0", defaultSlackFactor, math.NaN(), defaultSlackFactor, 0},
+		{"negative load reads as 0", defaultSlackFactor, -5, defaultSlackFactor, 0},
+		{"+Inf load fills every batch", defaultSlackFactor, math.Inf(1), defaultSlackFactor, 1e9},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _, _ := buildSched(t)
+			s.SetSlackFactor(tc.slack)
+			s.SetLoadHint(tc.load)
+			if got := s.SlackFactor(); got != tc.wantSlack {
+				t.Fatalf("slack factor %v, want %v", got, tc.wantSlack)
+			}
+			p, err := s.Schedule(steadyDevices(s), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !(p.MakespanMS <= p.BoundMS) || math.IsNaN(p.EnergyMJ) {
+				t.Fatalf("makespan %v ms against bound %v ms, energy %v mJ", p.MakespanMS, p.BoundMS, p.EnergyMJ)
+			}
+			ref, _, _ := buildSched(t)
+			ref.SetSlackFactor(tc.wantSlack)
+			ref.SetLoadHint(tc.wantLoad)
+			want, err := ref.Schedule(steadyDevices(ref), 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plansBitIdentical(t, tc.name, p, want)
+		})
 	}
 }

@@ -36,6 +36,11 @@ type StaticPlanner struct {
 	// impls is the fixed kernel → implementation mapping.
 	impls map[string]*model.Impl
 	order []string
+	// knames/orderIdx/preds are the program interned to dense kernel
+	// indices (see internKernels); orderIdx is order in those indices.
+	knames   []string
+	orderIdx []int32
+	preds    [][]predEdge
 
 	// healthEpoch mirrors the dynamic scheduler's board-health
 	// generation: folded into the cache key so health transitions
@@ -47,8 +52,12 @@ type StaticPlanner struct {
 	// devices).
 	cache  *PlanCache
 	keyBuf []byte
-	// scratchWork is the reusable per-call device working copy.
+	// resid resolves resident-bitstream IDs to plan-key codes.
+	resid residencies
+	// scratchWork and slab are the reusable per-call device working copy
+	// and placement slab.
 	scratchWork []DeviceState
+	slab        []Assignment
 }
 
 // NewStatic builds the baseline planner for one accelerator family.
@@ -61,7 +70,13 @@ func NewStatic(prog *opencl.Program, spaces *dse.KernelSpaces, class device.Clas
 		return nil, err
 	}
 	sp := &StaticPlanner{prog: prog, class: class, impls: make(map[string]*model.Impl), order: topo,
-		cache: newPlanCache(defaultPlanCacheCapacity)}
+		cache: newPlanCache(defaultPlanCacheCapacity), resid: newResidencies()}
+	var kidx map[string]int32
+	sp.knames, kidx, sp.preds = internKernels(prog, device.DefaultPCIe)
+	for _, k := range topo {
+		sp.orderIdx = append(sp.orderIdx, kidx[k])
+	}
+	sp.slab = make([]Assignment, len(sp.knames))
 
 	pick := func(mode StaticMode) (map[string]*model.Impl, error) {
 		out := make(map[string]*model.Impl, len(topo))
@@ -252,9 +267,10 @@ func (sp *StaticPlanner) Schedule(devices []DeviceState, boundMS float64) (*Plan
 	if sp.cache == nil {
 		return sp.scheduleCold(devices, boundMS)
 	}
+	sp.resid.resolve(devices)
 	key := binary.LittleEndian.AppendUint64(sp.keyBuf[:0], sp.healthEpoch)
 	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(boundMS))
-	key = appendPlanKeyDevices(key, devices)
+	key = appendPlanKeyDevices(key, devices, sp.resid.res)
 	sp.keyBuf = key
 	return sp.cache.memo(key, func() (*Plan, error) {
 		return sp.scheduleCold(devices, boundMS)
@@ -265,40 +281,42 @@ func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*
 	part := sp.partition(devices)
 	work := append(sp.scratchWork[:0], devices...)
 	sp.scratchWork = work
-	choice := make(map[string]*Assignment, len(sp.order))
-	for _, k := range sp.order {
+	slab := sp.slab
+	clear(slab)
+	for _, ki := range sp.orderIdx {
+		k := sp.knames[ki]
 		im := sp.impls[k]
-		var best *Assignment
+		var best Assignment
 		for di := range work {
 			d := &work[di]
 			if d.Class != sp.class || !part[k][d.Name] {
 				continue
 			}
 			est := d.availableAt(ImplID(im))
-			for _, e := range sp.prog.Preds(k) {
-				pa := choice[e.From]
-				if pa == nil {
+			for _, e := range sp.preds[ki] {
+				pa := &slab[e.from]
+				if pa.Impl == nil {
 					continue
 				}
 				ready := pa.EndMS
 				if pa.Device != d.Name {
-					ready += device.DefaultPCIe.TransferMS(e.Bytes)
+					ready += e.transferMS
 				}
 				if ready > est {
 					est = ready
 				}
 			}
 			end := est + d.execMS(im)
-			if best == nil || end < best.EndMS {
-				best = &Assignment{Kernel: k, Impl: im, Device: d.Name,
+			if best.Impl == nil || end < best.EndMS {
+				best = Assignment{Kernel: k, Impl: im, Device: d.Name,
 					StartMS: est, EndMS: end, ExecMS: im.LatencyMS / d.freq(),
 					CommitMS: d.commitMS(im, float64(max(1, im.Config.Batch)))}
 			}
 		}
-		if best == nil {
+		if best.Impl == nil {
 			return nil, fmt.Errorf("sched: no %s device available for kernel %q", sp.class, k)
 		}
-		choice[k] = best
+		slab[ki] = best
 		for di := range work {
 			if work[di].Name == best.Device {
 				if free := best.StartMS + best.CommitMS; free > work[di].FreeAtMS {
@@ -311,15 +329,15 @@ func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*
 			}
 		}
 	}
-	p := &Plan{Assignments: choice, BoundMS: boundMS, MakespanMS: 0}
-	for _, k := range sp.order {
-		a := choice[k]
-		p.MakespanMS = math.Max(p.MakespanMS, a.EndMS)
+	var makespanMS, energyMJ float64
+	for _, ki := range sp.orderIdx {
+		a := &slab[ki]
+		makespanMS = math.Max(makespanMS, a.EndMS)
 		b := a.Impl.Config.Batch
 		if b < 1 {
 			b = 1
 		}
-		p.EnergyMJ += a.Impl.PowerW * a.ExecMS / float64(b)
+		energyMJ += a.Impl.PowerW * a.ExecMS / float64(b)
 	}
-	return p, nil
+	return newPlan(slab, boundMS, makespanMS, energyMJ, 0), nil
 }
