@@ -279,11 +279,6 @@ func perturb(dev, impl string, amp float64) float64 {
 	return 1 + amp*u
 }
 
-// LaunchTrace, when non-nil, receives one callback per GPU launch
-// (device, kernel, batch size, cap, queue remainder, duration) — a
-// diagnostics hook for tests.
-var LaunchTrace func(dev, kernel string, batch, cap, left int, durMS float64)
-
 // GPUDevice simulates one GPU board: a FIFO queue whose head batch (up to
 // the impl's batch capacity, same impl only) executes as one launch, with
 // a DVFS ladder that scales both speed and power.
@@ -307,6 +302,10 @@ type GPUDevice struct {
 	batchBuf  []*Task
 	keepBuf   []*Task
 	nfaGroups []gpuGroup
+
+	// onLaunch, when non-nil, receives each launch's batch size and
+	// capacity — a hook for the package's batching tests.
+	onLaunch func(batch, cap int)
 }
 
 // gpuGroup accumulates NextFreeAt's per-kernel queue compression.
@@ -501,8 +500,8 @@ func (g *GPUDevice) launch() {
 	g.launches++
 	g.tasks += len(batch)
 	g.busyMS += float64(dur)
-	if LaunchTrace != nil {
-		LaunchTrace(g.name, head.Kernel, len(batch), cap, len(keep), float64(dur))
+	if g.onLaunch != nil {
+		g.onLaunch(len(batch), cap)
 	}
 	start := g.sim.Now()
 	if g.obs != nil {

@@ -7,16 +7,13 @@ import (
 	"poly/internal/sim"
 )
 
-// traceLaunches installs a LaunchTrace hook recording (size, cap) per
-// launch and returns the log plus a restore function.
-func traceLaunches(t *testing.T) *[][2]int {
-	t.Helper()
+// traceLaunches installs a launch hook on g recording (size, cap) per
+// launch and returns the log.
+func traceLaunches(g *GPUDevice) *[][2]int {
 	var log [][2]int
-	prev := LaunchTrace
-	LaunchTrace = func(dev, kernel string, batch, cap, left int, durMS float64) {
+	g.onLaunch = func(batch, cap int) {
 		log = append(log, [2]int{batch, cap})
 	}
-	t.Cleanup(func() { LaunchTrace = prev })
 	return &log
 }
 
@@ -26,7 +23,7 @@ func traceLaunches(t *testing.T) *[][2]int {
 func TestGPUWidestCapMergesBatchOneHead(t *testing.T) {
 	s := sim.New()
 	g := NewGPU(s, "gpu0", AMDW9100)
-	log := traceLaunches(t)
+	log := traceLaunches(g)
 	g.Submit(gpuTask("narrow", 10, 1, nil))
 	g.Submit(gpuTask("wide", 10, 8, nil))
 	s.Run()
@@ -48,7 +45,7 @@ func TestGPUWidestCapMergesBatchOneHead(t *testing.T) {
 func TestGPUWidestCapReservesJustifier(t *testing.T) {
 	s := sim.New()
 	g := NewGPU(s, "gpu0", AMDW9100)
-	log := traceLaunches(t)
+	log := traceLaunches(g)
 	var wideDone sim.Time
 	var firstDone sim.Time
 	for i := 0; i < 9; i++ {
@@ -77,7 +74,7 @@ func TestGPUWidestCapReservesJustifier(t *testing.T) {
 func TestGPUBatchOneOnlyStaysSingle(t *testing.T) {
 	s := sim.New()
 	g := NewGPU(s, "gpu0", AMDW9100)
-	log := traceLaunches(t)
+	log := traceLaunches(g)
 	for i := 0; i < 3; i++ {
 		g.Submit(gpuTask("narrow", 10, 1, nil))
 	}
@@ -93,7 +90,7 @@ func TestGPUBatchOneOnlyStaysSingle(t *testing.T) {
 func TestGPUWidestCapInterleaved(t *testing.T) {
 	s := sim.New()
 	g := NewGPU(s, "gpu0", AMDW9100)
-	log := traceLaunches(t)
+	log := traceLaunches(g)
 	g.Submit(gpuTask("narrow", 10, 1, nil))
 	g.Submit(gpuTask("wide", 10, 4, nil))
 	g.Submit(gpuTask("narrow", 10, 1, nil))

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"poly/internal/cluster"
-	"poly/internal/sched"
 )
 
 // Ablations: knock out one design choice at a time and verify the claim
@@ -37,9 +36,8 @@ func ablationSession(t *testing.T, mutate func(*Server)) Result {
 func TestAblationEnergyStep(t *testing.T) {
 	base := ablationSession(t, nil)
 	pinned := ablationSession(t, func(sv *Server) {
-		sc := sv.planner.(*sched.Scheduler)
-		sc.SetThroughputMode(true)
-		sc.SetSlackFactor(0.1)
+		sv.dyn.SetThroughputMode(true)
+		sv.dyn.SetSlackFactor(0.1)
 		sv.opts.Governor = false // freeze the mode for the whole run
 	})
 	t.Logf("avg power: adaptive %.1f W, pinned throughput mode %.1f W", base.AvgPowerW, pinned.AvgPowerW)

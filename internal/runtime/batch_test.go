@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"poly/internal/cluster"
@@ -251,5 +252,40 @@ func TestBatchDisbandPaths(t *testing.T) {
 			}
 			tc.check(t, res)
 		})
+	}
+}
+
+// TestDisbandedMemberKeepsFullWindow pins the in-queue window of a member
+// re-admitted by a disband: it is admitted as a single arrival and keeps
+// the full admitWindowMS, unlike a flushed member, which keeps only what
+// its hold left of it. A request staged at 10 ms and disbanded at 11 ms
+// must therefore finish exactly when a request admitted directly at
+// 11 ms does on an identical idle node. The load hint makes the planner
+// pick batched GPU variants, the only tasks that wait out a window.
+func TestDisbandedMemberKeepsFullWindow(t *testing.T) {
+	b := benches(t, "ASR")[cluster.HeterPoly]
+
+	staged := polySession(t, b, -1, Options{BatchWaitMS: 4, BatchCap: 2})
+	staged.dyn.SetLoadHint(300)
+	staged.Inject(10)
+	staged.sim.RunUntil(11)
+	if len(staged.batchArrivals) != 1 {
+		t.Fatalf("arrival not staged: %d open members", len(staged.batchArrivals))
+	}
+	staged.disbandBatch()
+	resS := staged.Collect()
+
+	direct := polySession(t, b, -1, Options{})
+	direct.dyn.SetLoadHint(300)
+	direct.Inject(11)
+	resD := direct.Collect()
+
+	if resS.Completed != 1 || resD.Completed != 1 || resS.BatchDisbands != 1 {
+		t.Fatalf("runs malformed: staged %+v, direct %+v", resS, resD)
+	}
+	endS := 10 + staged.LatencySamples()[0]
+	endD := 11 + direct.LatencySamples()[0]
+	if math.Abs(endS-endD) > 1e-9 {
+		t.Fatalf("disbanded member finished at %.6f ms, direct admission at %.6f ms", endS, endD)
 	}
 }

@@ -34,7 +34,6 @@ import (
 	"poly/internal/device"
 	"poly/internal/sched"
 	"poly/internal/sim"
-	"poly/internal/telemetry"
 )
 
 const (
@@ -77,7 +76,9 @@ func planCoexecutable(p *sched.Plan) bool {
 // about what a group would get. The gate reopens optimistically on
 // governor-mode and board-health transitions (reprobeBatching): those
 // are the events that change the plan mix, and one probe group settles
-// it again. Only called on paths that exist because batching is on.
+// it again. admit calls it for every successful plan while batching is
+// on, single arrivals included, so the hold budget stays priced by the
+// latest plan even while the gate is closed.
 func (sv *Server) notePlan(p *sched.Plan, groupN int) {
 	sv.lastPlanMS = p.MakespanMS
 	if groupN >= 2 {
@@ -101,42 +102,22 @@ type batchTimer struct {
 	gen uint64
 }
 
-func (sv *Server) acquireBatchTimer() *batchTimer {
-	if n := len(sv.timerFree); n > 0 {
-		bt := sv.timerFree[n-1]
-		sv.timerFree = sv.timerFree[:n-1]
-		return bt
-	}
-	return &batchTimer{}
-}
-
 func fireBatchTimer(_ sim.Time, a any) {
 	bt := a.(*batchTimer)
 	sv, gen := bt.sv, bt.gen
 	bt.sv = nil
-	sv.timerFree = append(sv.timerFree, bt)
+	sv.timers.put(bt)
 	if gen != sv.batchGen {
 		return // that group already flushed or disbanded
 	}
 	sv.flushBatch("maxwait")
 }
 
-// stage holds one arriving request in the open admission group instead of
-// admitting it immediately. Arrival-side accounting — the arrival counts
-// the governor's load estimate reads, and the low-power wake — happens
-// here at the true arrival instant; planning and submission happen at
-// flush. The request stays in pendingArrivals while staged, so Collect's
-// drain loop keeps driving the simulator until the group lands.
+// stage holds one arrived request in the open admission group instead of
+// admitting it immediately; planning and submission happen at flush. The
+// request stays in pendingArrivals while staged, so Collect's drain loop
+// keeps driving the simulator until the group lands.
 func (sv *Server) stage() {
-	sv.arrivals++
-	sv.windowArrivals++
-	if sv.lowPowerMode {
-		for _, g := range sv.node.GPUs {
-			g.SetDVFS(1)
-		}
-		sv.lowPowerMode = false
-		sv.setGovernorMode("nominal", "arrival_wake")
-	}
 	now := sv.sim.Now()
 	first := len(sv.batchArrivals) == 0
 	sv.batchArrivals = append(sv.batchArrivals, now)
@@ -150,7 +131,7 @@ func (sv *Server) stage() {
 		// it. Stale timers for the looser deadline stay scheduled and die
 		// on the generation check.
 		sv.batchDeadline = deadline
-		bt := sv.acquireBatchTimer()
+		bt := sv.timers.get()
 		bt.sv, bt.gen = sv, sv.batchGen
 		sv.sim.AtCall(deadline, fireBatchTimer, bt)
 	}
@@ -161,188 +142,56 @@ func (sv *Server) stage() {
 // Before any plan exists lastPlanMS is zero and the full shared bound
 // applies.
 func (sv *Server) holdBudgetMS() float64 {
-	slackMS := sv.opts.BoundMS - sv.lastPlanMS
-	if slackMS < 0 {
-		slackMS = 0
-	}
-	budget := batchSlackShare * slackMS
-	if budget > sv.opts.BatchWaitMS {
-		budget = sv.opts.BatchWaitMS
-	}
-	return budget
+	return min(sv.opts.BatchWaitMS, batchSlackShare*max(0, sv.opts.BoundMS-sv.lastPlanMS))
 }
 
-// flushBatch plans the open group as one unit and submits every member at
-// the current instant. The members share one sealed plan — safe because
-// plans are immutable and retries rebase into request-private slots — and
-// submit back-to-back, so their same-kernel GPU tasks coalesce into
-// shared launches with no further in-queue accumulation (windowMS 0).
-func (sv *Server) flushBatch(reason string) {
-	n := len(sv.batchArrivals)
-	if n == 0 {
-		return
+// takeBatch closes the open group and returns its members' arrival
+// instants (nil when no group is open). The group is reset BEFORE its
+// members are admitted: a member's submission can fail a board and
+// re-enter the batcher through the health transition's disband hook,
+// which must see no open group. The returned slice aliases the group's
+// buffer, which nothing appends to until the next arrival event.
+func (sv *Server) takeBatch() []sim.Time {
+	arr := sv.batchArrivals
+	if len(arr) == 0 {
+		return nil
 	}
 	sv.batchGen++
-	arr := sv.batchArrivals[:n]
-	// Reset the open group BEFORE submitting: a member's submission can
-	// fail a board and re-enter the batcher through the health
-	// transition's disband hook, which must see no open group.
-	sv.batchArrivals = sv.batchArrivals[:0]
-	now := sv.sim.Now()
+	sv.batchArrivals = arr[:0]
+	return arr
+}
 
-	// One plan for the whole group, with the group size fed to the
-	// scheduler: batched GPU variants are guaranteed n requests per
-	// launch, so the plan prices launch sharing as certainty instead of a
-	// load-estimate gamble. The hint is reset immediately — it is part of
-	// the plan-cache key, and single-request admissions must not alias
-	// group plans.
-	sc, _ := sv.planner.(*sched.Scheduler)
-	if sc != nil {
-		sc.SetBatchSize(n)
+// holdSum is the members' total staging hold at now.
+func holdSum(arr []sim.Time, now sim.Time) float64 {
+	var sumMS float64
+	for _, at := range arr {
+		sumMS += float64(now - at)
 	}
-	degraded := sv.injector != nil && sv.degraded()
-	plan, err := sv.planner.Schedule(sv.deviceStates(), sv.opts.BoundMS)
-	if sc != nil {
-		sc.SetBatchSize(1)
-	}
-	if err != nil {
-		// The whole group fails planning: account every member exactly as
-		// an individual admission would.
-		for range arr {
-			sv.pendingArrivals--
-			if degraded {
-				sv.shed++
-				if sv.tel != nil {
-					sv.tel.RequestShed(now)
-				}
-				continue
-			}
-			sv.planErrors++
-			if sv.tel != nil {
-				sv.tel.PlanError(now)
-			}
-		}
-		return
-	}
-	if degraded && plan.MakespanMS > shedHeadroom*sv.opts.BoundMS {
-		for range arr {
-			sv.pendingArrivals--
-			sv.shed++
-			if sv.tel != nil {
-				sv.tel.RequestShed(now)
-			}
-		}
-		return
-	}
-	sv.notePlan(plan, n)
+	return sumMS
+}
 
-	var holdSumMS float64
-	for _, at := range arr {
-		holdSumMS += float64(now - at)
-	}
-	sv.batchGroups++
-	sv.batchedRequests += n
-	sv.batchHoldSumMS += holdSumMS
-	if n > sv.maxBatchSize {
-		sv.maxBatchSize = n
-	}
-	var hit bool
-	if sv.tel != nil {
-		hits, _ := sv.PlannerCacheStats()
-		hit = hits > sv.lastCacheHits
-		sv.lastCacheHits = hits
-		sv.tel.PlanUpdate(hit, plan.EnergySwaps)
-		sv.tel.BatchFlush(now, n, holdSumMS/float64(n), reason)
-	}
-	for _, at := range arr {
-		sv.pendingArrivals--
-		hold := float64(now - at)
-		win := admitWindowMS - hold
-		if win < 0 {
-			win = 0
-		}
-		var span *telemetry.Span
-		if sv.tel != nil {
-			span = sv.tel.StartSpan(at, sv.opts.BoundMS)
-			span.CacheHit = hit
-			span.PlanMakespanMS = plan.MakespanMS
-			span.EnergySwaps = plan.EnergySwaps
-			span.Batched = true
-			span.BatchSize = n
-			span.HoldMS = hold
-		}
-		sv.startRequest(at, plan, span, win)
+// flushBatch admits the open group as one unit (see admit).
+func (sv *Server) flushBatch(reason string) {
+	if arr := sv.takeBatch(); arr != nil {
+		sv.admit(arr, reason)
 	}
 }
 
 // disbandBatch dissolves the open group without group planning: each
-// member is admitted individually at the current instant — against
+// member is admitted on its own at the current instant — against
 // whatever the device and health view now is — with its original arrival
 // time preserved. Called on every board-health transition; a no-op when
 // no group is open (including always when batching is off).
 func (sv *Server) disbandBatch() {
-	n := len(sv.batchArrivals)
-	if n == 0 {
+	arr := sv.takeBatch()
+	if arr == nil {
 		return
 	}
-	sv.batchGen++
 	sv.batchDisbands++
-	arr := sv.batchArrivals[:n]
-	sv.batchArrivals = sv.batchArrivals[:0]
-	now := sv.sim.Now()
 	if sv.tel != nil {
-		var holdSumMS float64
-		for _, at := range arr {
-			holdSumMS += float64(now - at)
-		}
-		sv.tel.BatchFlush(now, n, holdSumMS/float64(n), "disband")
+		sv.tel.BatchFlush(sv.sim.Now(), len(arr), holdSum(arr, sv.sim.Now())/float64(len(arr)), "disband")
 	}
-	for _, at := range arr {
-		sv.admitHeld(at)
+	for i := range arr {
+		sv.admit(arr[i:i+1], "")
 	}
-}
-
-// admitHeld admits one former group member individually: admit() minus
-// the arrival-side accounting stage() already performed, with the
-// request's true arrival instant preserved so its latency includes the
-// time it was staged.
-func (sv *Server) admitHeld(arrivedAt sim.Time) {
-	sv.pendingArrivals--
-	degraded := sv.injector != nil && sv.degraded()
-	plan, err := sv.planner.Schedule(sv.deviceStates(), sv.opts.BoundMS)
-	if err != nil {
-		if degraded {
-			sv.shed++
-			if sv.tel != nil {
-				sv.tel.RequestShed(sv.sim.Now())
-			}
-			return
-		}
-		sv.planErrors++
-		if sv.tel != nil {
-			sv.tel.PlanError(sv.sim.Now())
-		}
-		return
-	}
-	if degraded && plan.MakespanMS > shedHeadroom*sv.opts.BoundMS {
-		sv.shed++
-		if sv.tel != nil {
-			sv.tel.RequestShed(sv.sim.Now())
-		}
-		return
-	}
-	sv.notePlan(plan, 1)
-	var span *telemetry.Span
-	if sv.tel != nil {
-		hits, _ := sv.PlannerCacheStats()
-		hit := hits > sv.lastCacheHits
-		sv.lastCacheHits = hits
-		sv.tel.PlanUpdate(hit, plan.EnergySwaps)
-		span = sv.tel.StartSpan(arrivedAt, sv.opts.BoundMS)
-		span.CacheHit = hit
-		span.PlanMakespanMS = plan.MakespanMS
-		span.EnergySwaps = plan.EnergySwaps
-		span.HoldMS = float64(sv.sim.Now() - arrivedAt)
-	}
-	sv.startRequest(arrivedAt, plan, span, admitWindowMS)
 }

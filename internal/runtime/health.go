@@ -1,18 +1,14 @@
 package runtime
 
-import (
-	"poly/internal/device"
-	"poly/internal/sched"
-	"poly/internal/sim"
-)
+import "poly/internal/sim"
 
 // Board health: the graceful-degradation half of fault injection. The
 // runtime never reads the injector's ground truth — it infers board
 // state the way a real serving node must, from failed tasks and from
 // completions that deviate from the plan's prediction. Everything here
-// is inert when no injector is attached: the health map is nil, no
-// hooks are installed, and the serving path is bit-identical to a
-// fault-free build (TestServeFaultsDisabledEquivalence).
+// is inert when no injector is attached: no hooks are installed, no task
+// fails, every board stays healthy, and the serving path is bit-identical
+// to a fault-free build (TestServeFaultsDisabledEquivalence).
 //
 // The state machine per board:
 //
@@ -66,7 +62,7 @@ const (
 	shedHeadroom = 0.9
 )
 
-// boardHealth is the runtime's belief about one board.
+// boardHealth is the runtime's belief about one board (board.health).
 type boardHealth struct {
 	state int
 	// failStreak counts down-transitions since the last full recovery;
@@ -88,47 +84,26 @@ func healthName(s int) string {
 	}
 }
 
-// healthState returns the board's current state (healthy when no
-// injector — the map is only populated with faults enabled).
-func (sv *Server) healthState(board string) int {
-	if h := sv.health[board]; h != nil {
-		return h.state
-	}
-	return healthHealthy
-}
-
 // degraded reports whether any board is currently non-healthy — the
 // gate for admission shedding.
 func (sv *Server) degraded() bool {
-	for _, h := range sv.health {
-		if h.state != healthHealthy {
-			return true
-		}
-	}
-	return false
+	healthy, _, _ := sv.BoardHealthCounts()
+	return healthy < len(sv.boards)
 }
 
-// bumpEpoch advances the board-health generation and pushes it into the
-// planner's plan-cache key, invalidating every memoized plan.
-func (sv *Server) bumpEpoch() {
-	sv.healthEpoch++
-	if p, ok := sv.planner.(interface{ SetHealthEpoch(uint64) }); ok {
-		p.SetHealthEpoch(sv.healthEpoch)
-	}
-}
-
-// setHealth transitions one board's state, bumping the epoch and
-// emitting telemetry.
-func (sv *Server) setHealth(board string, to int, at sim.Time) {
-	h := sv.health[board]
-	if h == nil || h.state == to {
+// setHealth transitions one board's state. It advances the board-health
+// generation, which the planner folds into its plan-cache key so every
+// memoized plan dies with the old view, and emits telemetry.
+func (sv *Server) setHealth(b *board, to int, at sim.Time) {
+	from := b.health.state
+	if from == to {
 		return
 	}
-	from := h.state
-	h.state = to
-	sv.bumpEpoch()
+	b.health.state = to
+	sv.healthEpoch++
+	sv.planner.SetHealthEpoch(sv.healthEpoch)
 	if sv.tel != nil {
-		sv.tel.BoardHealthChanged(board, healthName(from), healthName(to), at)
+		sv.tel.BoardHealthChanged(b.name, healthName(from), healthName(to), at)
 	}
 	// An admission group staged under the old health view must not submit
 	// as one unit onto a changed board set: dissolve it, admitting each
@@ -144,16 +119,16 @@ func (sv *Server) setHealth(board string, to int, at sim.Time) {
 // backoff. When the backoff expires the board re-enters planning as
 // suspect (probation); if it fails again the streak doubles the next
 // backoff — flapping boards are probed geometrically less often.
-func (sv *Server) markBoardFailed(board string, at sim.Time) {
-	h := sv.health[board]
-	if h == nil || h.state == healthDown {
+func (sv *Server) markBoardFailed(b *board, at sim.Time) {
+	h := &b.health
+	if h.state == healthDown {
 		return // already known-down; one episode, one transition
 	}
 	h.failStreak++
 	h.deviations = 0
 	h.cleanRuns = 0
 	sv.boardDownEvents++
-	sv.setHealth(board, healthDown, at)
+	sv.setHealth(b, healthDown, at)
 	backoff := backoffBaseMS * float64(int(1)<<min(h.failStreak-1, 5))
 	if backoff > backoffCapMS {
 		backoff = backoffCapMS
@@ -161,7 +136,7 @@ func (sv *Server) markBoardFailed(board string, at sim.Time) {
 	sv.sim.After(sim.Duration(backoff), func() {
 		if h.state == healthDown {
 			h.cleanRuns = 0
-			sv.setHealth(board, healthSuspect, sv.sim.Now())
+			sv.setHealth(b, healthSuspect, sv.sim.Now())
 		}
 	})
 }
@@ -170,16 +145,16 @@ func (sv *Server) markBoardFailed(board string, at sim.Time) {
 // applied to faults: it compares each kernel's observed end-to-end
 // progress against the plan's prediction. Sustained deviation marks the
 // board suspect; sustained accuracy clears probation.
-func (sv *Server) observeCompletion(board string, predictedMS, observedMS float64, at sim.Time) {
-	h := sv.health[board]
-	if h == nil || h.state == healthDown {
+func (sv *Server) observeCompletion(b *board, predictedMS, observedMS float64, at sim.Time) {
+	h := &b.health
+	if h.state == healthDown {
 		return
 	}
 	if observedMS > deviationFactor*predictedMS && observedMS-predictedMS > deviationAbsMS {
 		h.deviations++
 		h.cleanRuns = 0
 		if h.deviations >= deviationTrip && h.state == healthHealthy {
-			sv.setHealth(board, healthSuspect, at)
+			sv.setHealth(b, healthSuspect, at)
 		}
 		return
 	}
@@ -189,7 +164,7 @@ func (sv *Server) observeCompletion(board string, predictedMS, observedMS float6
 	h.cleanRuns++
 	if h.state == healthSuspect && h.cleanRuns >= probationRuns {
 		h.failStreak = 0
-		sv.setHealth(board, healthHealthy, at)
+		sv.setHealth(b, healthHealthy, at)
 	}
 }
 
@@ -204,13 +179,10 @@ func (r *request) kernelFailed(ki int32, board string, at sim.Time) {
 		return
 	}
 	sv.taskFailures++
-	sv.markBoardFailed(board, at)
-	drop := func() {
+	sv.markBoardFailed(sv.byName[board], at)
+	if r.retries >= maxKernelRetries {
 		sv.failedRequests++
 		r.finishRequest(false)
-	}
-	if r.retries >= maxKernelRetries {
-		drop()
 		return
 	}
 	r.retries++
@@ -222,22 +194,14 @@ func (r *request) kernelFailed(ki int32, board string, at sim.Time) {
 	if sv.tel != nil {
 		sv.tel.TaskRetry(board, kernel, at)
 	}
-	p, ok := sv.planner.(interface {
-		PlaceKernel(kernel string, devices []sched.DeviceState) (*sched.Assignment, error)
-	})
-	if !ok {
-		drop()
-		return
-	}
-	a, err := p.PlaceKernel(kernel, sv.deviceStates())
+	a, err := sv.planner.PlaceKernel(kernel, sv.deviceStates())
 	if err != nil {
-		drop()
+		sv.failedRequests++
+		r.finishRequest(false)
 		return
 	}
 	r.assign[ki] = a
-	if a.Impl.Platform == device.FPGA {
-		sv.intended[a.Device] = a.Impl.ID
-	}
+	sv.intend(a)
 	r.submit(ki)
 	// submit just swapped in a fresh kernel record for the retry attempt;
 	// tag it so stage attribution can carve the failure→restart window

@@ -63,7 +63,7 @@ func TestServeCachedMatchesUncachedAtKnee(t *testing.T) {
 	// The bypass engaged: a cache that kept every miss would hold one
 	// entry per miss (the run plans far fewer than its capacity).
 	_, misses := sv.PlannerCacheStats()
-	if n := sv.planner.(*sched.Scheduler).PlanCacheLen(); n >= misses {
+	if n := sv.dyn.PlanCacheLen(); n >= misses {
 		t.Fatalf("cache holds %d plans after %d misses: the miss-streak bypass never engaged", n, misses)
 	}
 }

@@ -25,11 +25,21 @@ import (
 	"poly/internal/telemetry"
 )
 
-// Planner plans one request over the node's devices. *sched.Scheduler
+// Planner is what the runtime needs from a planner. *sched.Scheduler
 // (Heter-Poly) and *sched.StaticPlanner (the Homo-* baselines) both
-// implement it.
+// implement it; the dynamic scheduler's extra knobs (governor slack,
+// batch hints, bitstream provisioning) are reached through Server.dyn.
 type Planner interface {
+	// Schedule plans one request (or one admission group) over the
+	// devices; the returned plan is shared and must not be written.
 	Schedule(devices []sched.DeviceState, boundMS float64) (*sched.Plan, error)
+	// PlaceKernel re-places one kernel after a task failure.
+	PlaceKernel(kernel string, devices []sched.DeviceState) (*sched.Assignment, error)
+	// SetHealthEpoch folds the board-health generation into the plan
+	// cache key, so a health transition invalidates every memoized plan.
+	SetHealthEpoch(epoch uint64)
+	// PlanCacheStats reports the plan cache's cumulative hits and misses.
+	PlanCacheStats() (hits, misses int)
 }
 
 var (
@@ -41,8 +51,6 @@ var (
 type Options struct {
 	// BoundMS is the QoS tail-latency bound (program default if zero).
 	BoundMS float64
-	// GovernorPeriodMS is the monitor/optimizer cycle (500 ms if zero).
-	GovernorPeriodMS float64
 	// WarmupMS excludes an initial window from the latency statistics:
 	// first-touch FPGA reconfigurations and cold caches are deployment
 	// one-offs, not steady-state QoS. Energy/power accounting still
@@ -76,9 +84,13 @@ type Options struct {
 	BatchCap int
 }
 
-// defaultRestoreSlack is the planning headroom the governor restores in
-// calm windows (mirrors the scheduler's default).
-const defaultRestoreSlack = 0.6
+const (
+	// defaultRestoreSlack is the planning headroom the governor restores
+	// in calm windows (mirrors the scheduler's default).
+	defaultRestoreSlack = 0.6
+	// governorPeriodMS is the monitor/optimizer cycle.
+	governorPeriodMS = 500.0
+)
 
 // Server drives one application on one node.
 type Server struct {
@@ -86,9 +98,16 @@ type Server struct {
 	node    *cluster.Node
 	prog    *opencl.Program
 	planner Planner
-	opts    Options
+	// dyn is the planner as the dynamic scheduler, resolved once; nil for
+	// the Homo-* baselines, whose static planners have no knobs to turn.
+	dyn  *sched.Scheduler
+	opts Options
 
-	accels map[string]device.Accelerator
+	// boards is the node's accelerators in node order (GPUs, then FPGAs),
+	// the order deviceStates presents them to the planner; byName resolves
+	// the board names that plans and tasks carry.
+	boards []board
+	byName map[string]*board
 
 	latencies  sim.Sample
 	windowLat  sim.Sample
@@ -107,27 +126,21 @@ type Server struct {
 	pendingArrivals int
 	gpuTasks        int
 	fpgaTasks       int
-	// intended records the bitstream each FPGA board is committed to by
-	// admitted (possibly not-yet-submitted) plans. Planning against the
-	// intended residency instead of the instantaneous one prevents two
-	// overlapping requests from claiming the same blank board for
-	// different kernels and ping-ponging reconfigurations forever.
-	intended map[string]string
 	// devScratch is the reusable device-state snapshot buffer: admit
 	// runs once per request, and both planners copy the slice before
 	// retaining anything, so the snapshot never needs to survive a call.
 	devScratch []sched.DeviceState
 
 	// pi is the program interned to dense kernel indices (built once in
-	// NewServer); reqFree/taskFree/propFree are the free lists the serving
-	// loop recycles request, task, and edge-propagation objects through.
+	// NewServer); reqs/tasks/props are the free lists the serving loop
+	// recycles request, task, and edge-propagation objects through.
 	// Recycling is safe because every object counts its outstanding
 	// callbacks (request.refs) or is released exactly at its single
 	// callback (tasks, edge props).
-	pi       progIndex
-	reqFree  []*request
-	taskFree []*device.Task
-	propFree []*edgeProp
+	pi    progIndex
+	reqs  pool[request]
+	tasks pool[device.Task]
+	props pool[edgeProp]
 
 	// tel is the telemetry sink (nil = disabled). govMode tracks the
 	// governor's operating mode for transition events; lastCacheHits
@@ -138,11 +151,9 @@ type Server struct {
 	lastCacheHits int
 
 	// injector is the fault layer (nil = faults disabled; every fault
-	// path below is gated on it). health is the runtime's belief about
-	// each board (see health.go); healthEpoch is the generation counter
-	// that keys plan-cache invalidation on health transitions.
+	// path below is gated on it). healthEpoch is the generation counter
+	// that keys plan-cache invalidation on board-health transitions.
 	injector    *fault.Injector
-	health      map[string]*boardHealth
 	healthEpoch uint64
 
 	shed            int
@@ -159,7 +170,7 @@ type Server struct {
 	batchArrivals []sim.Time
 	batchDeadline sim.Time
 	batchGen      uint64
-	timerFree     []*batchTimer
+	timers        pool[batchTimer]
 	// lastPlanMS is the most recent successful plan's makespan — the
 	// batcher's service-time predictor for the slack-budget rule.
 	// batchCoexec is the staging gate: true while the live plan mix
@@ -175,6 +186,22 @@ type Server struct {
 	maxBatchSize    int
 }
 
+// board is the runtime's record of one accelerator: the device (exactly
+// one of gpu and fpga is set), the runtime's belief about its health (see
+// health.go) and, for an FPGA, intended: the bitstream the board is
+// committed to by admitted (possibly not-yet-submitted) plans. Planning
+// against the intended residency instead of the instantaneous one
+// prevents two overlapping requests from claiming the same blank board
+// for different kernels and ping-ponging reconfigurations forever.
+type board struct {
+	name     string
+	accel    device.Accelerator
+	gpu      *device.GPUDevice
+	fpga     *device.FPGADevice
+	health   boardHealth
+	intended string
+}
+
 // NewServer wires an application and planner onto a node.
 func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts Options) (*Server, error) {
 	if node == nil || prog == nil || planner == nil {
@@ -183,25 +210,28 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 	if opts.BoundMS <= 0 {
 		opts.BoundMS = prog.LatencyBoundMS
 	}
-	if opts.GovernorPeriodMS <= 0 {
-		opts.GovernorPeriodMS = 500
-	}
 	sv := &Server{
-		sim:      node.Sim,
-		node:     node,
-		prog:     prog,
-		planner:  planner,
-		opts:     opts,
-		accels:   make(map[string]device.Accelerator),
-		intended: make(map[string]string),
-		tel:      opts.Telemetry,
-		govMode:  "nominal",
+		sim:     node.Sim,
+		node:    node,
+		prog:    prog,
+		planner: planner,
+		opts:    opts,
+		tel:     opts.Telemetry,
+		govMode: "nominal",
 	}
-	for _, a := range node.Accelerators() {
-		sv.accels[a.Name()] = a
+	sv.dyn, _ = planner.(*sched.Scheduler)
+	for _, g := range node.GPUs {
+		sv.boards = append(sv.boards, board{name: g.Name(), accel: g, gpu: g})
 	}
-	if len(sv.accels) == 0 {
+	for _, f := range node.FPGAs {
+		sv.boards = append(sv.boards, board{name: f.Name(), accel: f, fpga: f})
+	}
+	if len(sv.boards) == 0 {
 		return nil, fmt.Errorf("runtime: node has no accelerators")
+	}
+	sv.byName = make(map[string]*board, len(sv.boards))
+	for i := range sv.boards {
+		sv.byName[sv.boards[i].name] = &sv.boards[i]
 	}
 	sv.buildProgIndex()
 	if opts.BatchWaitMS > 0 {
@@ -212,24 +242,17 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 		sv.batchCap = opts.BatchCap
 		if sv.batchCap <= 0 {
 			sv.batchCap = defaultBatchCap
-			if sc, ok := planner.(*sched.Scheduler); ok {
-				sv.batchCap = sc.MaxGPUBatch()
+			if sv.dyn != nil {
+				sv.batchCap = sv.dyn.MaxGPUBatch()
 			}
 		}
 	}
 	if opts.Faults != nil && opts.Faults.Enabled() {
-		boards := make([]string, 0, len(sv.accels))
-		for _, g := range node.GPUs {
-			boards = append(boards, g.Name())
+		names := make([]string, len(sv.boards))
+		for i := range sv.boards {
+			names[i] = sv.boards[i].name
 		}
-		for _, f := range node.FPGAs {
-			boards = append(boards, f.Name())
-		}
-		sv.injector = fault.New(*opts.Faults, boards)
-		sv.health = make(map[string]*boardHealth, len(boards))
-		for _, b := range boards {
-			sv.health[b] = &boardHealth{}
-		}
+		sv.injector = fault.New(*opts.Faults, names)
 		for _, g := range node.GPUs {
 			g.SetFaultHook(sv.injector)
 		}
@@ -272,7 +295,7 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 	}
 	sv.powerTS.Add(sv.sim.Now(), node.PowerW())
 	if opts.Governor {
-		sv.sim.AfterCall(sim.Duration(opts.GovernorPeriodMS), fireGovernorTick, sv)
+		sv.sim.AfterCall(sim.Duration(governorPeriodMS), fireGovernorTick, sv)
 	}
 	return sv, nil
 }
@@ -343,54 +366,46 @@ func (sv *Server) Bound() float64 { return sv.opts.BoundMS }
 // routing signal the fleet's placement policies read.
 func (sv *Server) InFlight() int { return sv.inFlight }
 
-// deviceStates snapshots the node for the scheduler (Eq. 4 inputs).
-// The returned slice is scratch reused across admits.
+// deviceStates snapshots the node for the scheduler (Eq. 4 inputs), in
+// board order. The returned slice is scratch reused across admits.
 func (sv *Server) deviceStates() []sched.DeviceState {
 	now := sv.sim.Now()
 	out := sv.devScratch[:0]
-	for _, g := range sv.node.GPUs {
+	for i := range sv.boards {
+		b := &sv.boards[i]
 		// Down boards leave the EST tables entirely; suspect boards carry
-		// a fixed availability penalty (see health.go). Both branches are
-		// unreachable without an injector.
-		h := sv.healthState(g.Name())
-		if h == healthDown {
+		// a fixed availability penalty (see health.go). Every board stays
+		// healthy without an injector.
+		if b.health.state == healthDown {
 			continue
 		}
-		ds := sched.DeviceState{
-			Name:      g.Name(),
-			Class:     device.GPU,
-			FreeAtMS:  float64(g.NextFreeAt() - now),
-			FreqScale: g.FreqScale(),
+		ds := sched.DeviceState{Name: b.name, FreqScale: 1}
+		if g := b.gpu; g != nil {
+			ds.Class = device.GPU
+			ds.FreeAtMS = float64(g.NextFreeAt() - now)
+			ds.FreqScale = g.FreqScale()
+		} else {
+			ds.Class = device.FPGA
+			ds.FreeAtMS = float64(b.fpga.NextFreeAt() - now)
+			ds.LoadedImpl = b.residency()
+			ds.ReconfigMS = sv.node.Plan.Setting.FPGA.ReconfigMS
 		}
-		if h == healthSuspect {
-			ds.FreeAtMS += suspectPenaltyMS
-		}
-		out = append(out, ds)
-	}
-	for _, f := range sv.node.FPGAs {
-		h := sv.healthState(f.Name())
-		if h == healthDown {
-			continue
-		}
-		loaded := sv.intended[f.Name()]
-		if loaded == "" {
-			loaded = f.Loaded()
-		}
-		ds := sched.DeviceState{
-			Name:       f.Name(),
-			Class:      device.FPGA,
-			FreeAtMS:   float64(f.NextFreeAt() - now),
-			LoadedImpl: loaded,
-			ReconfigMS: sv.node.Plan.Setting.FPGA.ReconfigMS,
-			FreqScale:  1,
-		}
-		if h == healthSuspect {
+		if b.health.state == healthSuspect {
 			ds.FreeAtMS += suspectPenaltyMS
 		}
 		out = append(out, ds)
 	}
 	sv.devScratch = out
 	return out
+}
+
+// residency is the bitstream an FPGA board will hold once admitted work
+// lands: the intended one, else the one loaded now.
+func (b *board) residency() string {
+	if b.intended != "" {
+		return b.intended
+	}
+	return b.fpga.Loaded()
 }
 
 // Inject schedules one request arrival at the given absolute time.
@@ -413,11 +428,8 @@ func (sv *Server) RouteArrival() {
 // boards — the signal a fleet generalizes into node-level health. With
 // no fault layer attached every board reads healthy.
 func (sv *Server) BoardHealthCounts() (healthy, suspect, down int) {
-	if sv.health == nil {
-		return len(sv.accels), 0, 0
-	}
-	for _, h := range sv.health {
-		switch h.state {
+	for i := range sv.boards {
+		switch sv.boards[i].health.state {
 		case healthSuspect:
 			suspect++
 		case healthDown:
@@ -430,16 +442,33 @@ func (sv *Server) BoardHealthCounts() (healthy, suspect, down int) {
 }
 
 // fireAdmit routes an arrival: straight to admission, or — with the
-// batcher enabled — into the staging stage. The disabled branch is the
-// exact pre-batcher path, which is what keeps BatchWaitMS == 0
-// bit-identical to a build without the batcher.
+// batcher enabled and its gate open — into the staging stage. (The wake
+// in arrive cannot open a closed gate: entering low power already
+// reopened it, and no group plan can close it before the next arrival.)
 func fireAdmit(_ sim.Time, a any) {
 	sv := a.(*Server)
+	sv.arrive()
 	if sv.batching && sv.batchCoexec {
 		sv.stage()
 		return
 	}
-	sv.admit()
+	sv.admit([]sim.Time{sv.sim.Now()}, "")
+}
+
+// arrive does an arrival's accounting at its true arrival instant: the
+// arrival counts the governor's load estimate reads, and the wake from
+// low power — a request must not be served at the parked operating point
+// until the next governor tick.
+func (sv *Server) arrive() {
+	sv.arrivals++
+	sv.windowArrivals++
+	if sv.lowPowerMode {
+		for _, g := range sv.node.GPUs {
+			g.SetDVFS(1)
+		}
+		sv.lowPowerMode = false
+		sv.setGovernorMode("nominal", "arrival_wake")
+	}
 }
 
 // request tracks one in-flight request's DAG progress. Requests are
@@ -454,8 +483,8 @@ type request struct {
 	plan      *sched.Plan
 	// assign maps dense kernel index → effective assignment. Entries
 	// start out aliasing the shared immutable plan and are repointed to
-	// request-private Assignments on failure retries (the PlanView-style
-	// rebase — the plan itself is never written).
+	// request-private Assignments on failure retries (the plan itself is
+	// never written).
 	assign []*sched.Assignment
 	// waiting counts unfinished predecessors per kernel index; admit
 	// copies it from the progIndex template.
@@ -485,57 +514,36 @@ type edgeProp struct {
 	succ int32
 }
 
-// poolChunk is how many request/task objects one free-list refill
-// allocates at once. The pools only ever grow to the run's peak
-// concurrency, so chunking turns that growth from one allocation per
-// object into one per chunk without retaining more than a chunk's
-// worth of slack.
+// poolChunk is how many objects one free-list refill allocates at once.
+// The pools only ever grow to the run's peak concurrency, so chunking
+// turns that growth from one allocation per object into one per chunk
+// without retaining more than a chunk's worth of slack.
 const poolChunk = 64
 
-func (sv *Server) acquireRequest() *request {
-	if n := len(sv.reqFree); n > 0 {
-		r := sv.reqFree[n-1]
-		sv.reqFree = sv.reqFree[:n-1]
-		return r
+// pool is a chunked free list of T. The serving loop is single-threaded,
+// so get and put need no locking.
+type pool[T any] struct{ free []*T }
+
+func (p *pool[T]) get() *T {
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		return x
 	}
-	chunk := make([]request, poolChunk)
+	chunk := make([]T, poolChunk)
 	for i := 1; i < poolChunk; i++ {
-		sv.reqFree = append(sv.reqFree, &chunk[i])
+		p.free = append(p.free, &chunk[i])
 	}
 	return &chunk[0]
 }
 
-func (sv *Server) acquireTask() *device.Task {
-	if n := len(sv.taskFree); n > 0 {
-		t := sv.taskFree[n-1]
-		sv.taskFree = sv.taskFree[:n-1]
-		return t
-	}
-	chunk := make([]device.Task, poolChunk)
-	for i := 1; i < poolChunk; i++ {
-		sv.taskFree = append(sv.taskFree, &chunk[i])
-	}
-	return &chunk[0]
-}
+func (p *pool[T]) put(x *T) { p.free = append(p.free, x) }
 
 // releaseTask recycles a task whose single lifecycle callback has fired;
 // the device layer never touches a task after done/fail.
 func (sv *Server) releaseTask(t *device.Task) {
 	*t = device.Task{}
-	sv.taskFree = append(sv.taskFree, t)
-}
-
-func (sv *Server) acquireProp() *edgeProp {
-	if n := len(sv.propFree); n > 0 {
-		p := sv.propFree[n-1]
-		sv.propFree = sv.propFree[:n-1]
-		return p
-	}
-	chunk := make([]edgeProp, poolChunk)
-	for i := 1; i < poolChunk; i++ {
-		sv.propFree = append(sv.propFree, &chunk[i])
-	}
-	return &chunk[0]
+	sv.tasks.put(t)
 }
 
 // maybeRelease recycles the request once it is finished and no scheduled
@@ -554,88 +562,113 @@ func (r *request) maybeRelease() {
 	for i := range r.ks {
 		r.ks[i] = nil
 	}
-	sv.reqFree = append(sv.reqFree, r)
+	sv.reqs.put(r)
 }
 
-// admit plans and launches a request at the current instant.
-func (sv *Server) admit() {
-	sv.pendingArrivals--
-	sv.arrivals++
-	sv.windowArrivals++
-	if sv.lowPowerMode {
-		// Wake on arrival: a request must not be served at the parked
-		// operating point until the next governor tick.
-		for _, g := range sv.node.GPUs {
-			g.SetDVFS(1)
-		}
-		sv.lowPowerMode = false
-		sv.setGovernorMode("nominal", "arrival_wake")
+// admit plans arr — one arrival, or a flushed admission group when
+// reason ("full" or "maxwait") is non-empty — against the node's current
+// state, and starts every member at the current instant on the one plan.
+// Each member keeps its true arrival instant, so its latency includes any
+// time it was staged. A failed plan, or a plan too close to the bound on
+// a degraded node, fails every member alike.
+//
+// A group is planned with its size as the scheduler's batch hint: batched
+// GPU variants are guaranteed n requests per launch, so the plan prices
+// launch sharing as certainty instead of a load-estimate gamble. The hint
+// is reset at once — it is part of the plan-cache key, and single
+// arrivals must not alias group plans. The members share the sealed plan
+// (retries rebase into request-private slots) and submit back to back,
+// so their same-kernel GPU tasks coalesce into shared launches.
+func (sv *Server) admit(arr []sim.Time, reason string) {
+	n := len(arr)
+	group := reason != ""
+	now := sv.sim.Now()
+	sv.pendingArrivals -= n
+	if group && sv.dyn != nil {
+		sv.dyn.SetBatchSize(n)
 	}
 	// Admission control under degradation: when boards are down or
 	// suspect, feasible capacity may not meet the bound. Shedding the
 	// request at admission is a fast rejection the client can retry
 	// elsewhere; admitting it would turn one board's fault into tail
-	// violations for the whole population (ISSUE: prefer rejection).
+	// violations for the whole population.
 	degraded := sv.injector != nil && sv.degraded()
 	plan, err := sv.planner.Schedule(sv.deviceStates(), sv.opts.BoundMS)
-	if err != nil {
-		if degraded {
-			sv.shed++
-			if sv.tel != nil {
-				sv.tel.RequestShed(sv.sim.Now())
-			}
-			return
-		}
-		sv.planErrors++
-		if sv.tel != nil {
-			sv.tel.PlanError(sv.sim.Now())
-		}
-		return
+	if group && sv.dyn != nil {
+		sv.dyn.SetBatchSize(1)
 	}
-	if degraded && plan.MakespanMS > shedHeadroom*sv.opts.BoundMS {
-		sv.shed++
-		if sv.tel != nil {
-			sv.tel.RequestShed(sv.sim.Now())
+	if err != nil || degraded && plan.MakespanMS > shedHeadroom*sv.opts.BoundMS {
+		for range arr {
+			if degraded {
+				sv.shed++
+				if sv.tel != nil {
+					sv.tel.RequestShed(now)
+				}
+				continue
+			}
+			sv.planErrors++
+			if sv.tel != nil {
+				sv.tel.PlanError(now)
+			}
 		}
 		return
 	}
 	if sv.batching {
-		// Arrivals reach admit() with batching on only while the staging
-		// gate is closed; keep the hold-budget predictor fresh for when
-		// a reprobe reopens it. (Single-request plans never move the
-		// gate itself — see notePlan.)
-		sv.notePlan(plan, 1)
+		sv.notePlan(plan, n)
 	}
-	var span *telemetry.Span
+	var holdSumMS float64
+	if group {
+		holdSumMS = holdSum(arr, now)
+		sv.batchGroups++
+		sv.batchedRequests += n
+		sv.batchHoldSumMS += holdSumMS
+		sv.maxBatchSize = max(sv.maxBatchSize, n)
+	}
+	var hit bool
 	if sv.tel != nil {
-		hits, _ := sv.PlannerCacheStats()
-		hit := hits > sv.lastCacheHits
+		hits, _ := sv.planner.PlanCacheStats()
+		hit = hits > sv.lastCacheHits
 		sv.lastCacheHits = hits
 		sv.tel.PlanUpdate(hit, plan.EnergySwaps)
-		span = sv.tel.StartSpan(sv.sim.Now(), sv.opts.BoundMS)
-		span.CacheHit = hit
-		span.PlanMakespanMS = plan.MakespanMS
-		span.EnergySwaps = plan.EnergySwaps
+		if group {
+			sv.tel.BatchFlush(now, n, holdSumMS/float64(n), reason)
+		}
 	}
-	// Batches form from the queue: arrivals during a running launch
-	// coalesce into the next one, which self-balances with load. A fixed
-	// accumulation window is kept tiny — just enough to merge
-	// near-simultaneous arrivals without spending the latency budget.
-	sv.startRequest(sv.sim.Now(), plan, span, admitWindowMS)
+	for _, at := range arr {
+		hold := float64(now - at)
+		// Batches form from the queue: arrivals during a running launch
+		// coalesce into the next one, which self-balances with load. A
+		// tiny in-queue window merges near-simultaneous arrivals; a group
+		// member already spent its hold in staging and keeps only the
+		// rest, so the two stages never wait the same budget twice.
+		win := admitWindowMS
+		if group {
+			win = max(0, admitWindowMS-hold)
+		}
+		var span *telemetry.Span
+		if sv.tel != nil {
+			span = sv.tel.StartSpan(at, sv.opts.BoundMS)
+			span.CacheHit = hit
+			span.PlanMakespanMS = plan.MakespanMS
+			span.EnergySwaps = plan.EnergySwaps
+			span.HoldMS = hold
+			if group {
+				span.Batched = true
+				span.BatchSize = n
+			}
+		}
+		sv.startRequest(at, plan, span, win)
+	}
 }
 
 // startRequest builds the pooled request for an admitted plan and
-// submits its source kernels — the shared tail of every admission path.
-// arrivedAt is the request's true arrival instant (an admission-batched
-// request's latency includes its staging hold); windowMS is the
-// per-kernel in-queue accumulation window (for group members, only the
-// part of admitWindowMS the staging hold left unspent — the two
-// accumulation stages never wait the same budget twice).
+// submits its source kernels. arrivedAt is the request's true arrival
+// instant; windowMS is its per-kernel in-queue accumulation window.
 func (sv *Server) startRequest(arrivedAt sim.Time, plan *sched.Plan, span *telemetry.Span, windowMS float64) {
 	sv.inFlight++
 	pi := &sv.pi
 	nk := len(pi.names)
-	r := sv.acquireRequest()
+	r := sv.reqs.get()
 	r.sv = sv
 	r.arrivedAt = arrivedAt
 	r.plan = plan
@@ -662,15 +695,24 @@ func (sv *Server) startRequest(arrivedAt sim.Time, plan *sched.Plan, span *telem
 	// plan places two kernels on the same board, the later one's
 	// bitstream is the residency the board ends up with.
 	for _, a := range plan.Order() {
-		if a.Impl.Platform == device.FPGA {
-			sv.intended[a.Device] = a.Impl.ID
-		}
+		sv.intend(a)
 	}
 	// Submit sources in declaration order for determinism.
 	for _, ki := range pi.sources {
 		r.submit(ki)
 	}
 	r.maybeRelease()
+}
+
+// intend records an FPGA assignment's bitstream as its board's intended
+// residency. An unknown device is left to submit, which drops the request.
+func (sv *Server) intend(a *sched.Assignment) {
+	if a.Impl.Platform != device.FPGA {
+		return
+	}
+	if b := sv.byName[a.Device]; b != nil {
+		b.intended = a.Impl.ID
+	}
 }
 
 // submit dispatches one kernel's task to its planned device. The task is
@@ -680,8 +722,8 @@ func (sv *Server) startRequest(arrivedAt sim.Time, plan *sched.Plan, span *telem
 func (r *request) submit(ki int32) {
 	sv := r.sv
 	a := r.assign[ki]
-	accel := sv.accels[a.Device]
-	if accel == nil {
+	b := sv.byName[a.Device]
+	if b == nil {
 		// The planner referenced an unknown device — drop the request
 		// rather than corrupt accounting.
 		sv.planErrors++
@@ -691,12 +733,12 @@ func (r *request) submit(ki int32) {
 		r.finishRequest(false)
 		return
 	}
-	if accel.Class() == device.GPU {
+	if b.gpu != nil {
 		sv.gpuTasks++
 	} else {
 		sv.fpgaTasks++
 	}
-	t := sv.acquireTask()
+	t := sv.tasks.get()
 	*t = device.Task{
 		Kernel:         a.Kernel,
 		ImplID:         a.Impl.ID,
@@ -716,7 +758,7 @@ func (r *request) submit(ki int32) {
 		t.WindowMS = r.windowMS
 	}
 	r.refs++
-	accel.Submit(t)
+	b.accel.Submit(t)
 }
 
 // TaskStarted implements device.TaskOwner: telemetry splits queue time
@@ -733,7 +775,7 @@ func (r *request) TaskStarted(t *device.Task, at sim.Time) {
 func (r *request) TaskDone(t *device.Task, at sim.Time) {
 	sv := r.sv
 	if sv.injector != nil {
-		sv.observeCompletion(t.Device, t.PredictedEndMS, float64(at-r.arrivedAt), at)
+		sv.observeCompletion(sv.byName[t.Device], t.PredictedEndMS, float64(at-r.arrivedAt), at)
 	}
 	ki := t.KernelIdx
 	if ks := r.ks[ki]; ks != nil {
@@ -770,7 +812,7 @@ func (r *request) kernelDone(ki int32, at sim.Time) {
 				r.span.AddTransfer(float64(at), float64(at)+e.transferMS)
 			}
 		}
-		p := sv.acquireProp()
+		p := sv.props.get()
 		p.r, p.succ = r, e.to
 		r.refs++
 		sv.sim.AfterCall(delay, fireEdgeArrive, p)
@@ -790,7 +832,7 @@ func fireEdgeArrive(_ sim.Time, a any) {
 	r, succ := p.r, p.succ
 	p.r = nil
 	sv := r.sv
-	sv.propFree = append(sv.propFree, p)
+	sv.props.put(p)
 	r.refs--
 	r.waiting[succ]--
 	if r.waiting[succ] == 0 {
@@ -850,8 +892,8 @@ func (sv *Server) governorTick() {
 	}
 
 	var queued int
-	for _, a := range sv.accels {
-		queued += a.QueueLen()
+	for i := range sv.boards {
+		queued += sv.boards[i].accel.QueueLen()
 	}
 	switch {
 	case queued == 0 && sv.inFlight == 0 && sv.windowArrivals == 0 && len(sv.batchArrivals) == 0:
@@ -867,9 +909,9 @@ func (sv *Server) governorTick() {
 		}
 		sv.lowPowerMode = true
 		sv.setGovernorMode("lowpower", "idle")
-	case queued > len(sv.accels) || sv.latencyPressure():
+	case queued > len(sv.boards) || sv.latencyPressure():
 		cause := "latency_pressure"
-		if queued > len(sv.accels) {
+		if queued > len(sv.boards) {
 			cause = "queue_depth"
 		}
 		sv.setGovernorMode("boost", cause)
@@ -879,9 +921,9 @@ func (sv *Server) governorTick() {
 		for _, g := range sv.node.GPUs {
 			g.SetDVFS(0)
 		}
-		if sc, ok := sv.planner.(*sched.Scheduler); ok {
-			sc.SetSlackFactor(0.4)
-			sc.SetThroughputMode(true)
+		if sv.dyn != nil {
+			sv.dyn.SetSlackFactor(0.4)
+			sv.dyn.SetThroughputMode(true)
 		}
 		sv.calmWindows = 0
 		sv.lowPowerMode = false
@@ -903,23 +945,23 @@ func (sv *Server) governorTick() {
 			for _, g := range sv.node.GPUs {
 				g.SetDVFS(1)
 			}
-			if sc, ok := sv.planner.(*sched.Scheduler); ok {
-				sc.SetSlackFactor(defaultRestoreSlack)
-				sc.SetThroughputMode(false)
+			if sv.dyn != nil {
+				sv.dyn.SetSlackFactor(defaultRestoreSlack)
+				sv.dyn.SetThroughputMode(false)
 			}
 			sv.setGovernorMode("calm", "slack_restore")
 		}
 	}
-	if sc, ok := sv.planner.(*sched.Scheduler); ok {
+	if sv.dyn != nil {
 		// Feed the arrival-rate estimate into the scheduler's batch-fill
 		// prediction (the system-model part of Fig. 2's feedback loop).
-		sc.SetLoadHint(float64(sv.windowArrivals) / sv.opts.GovernorPeriodMS * 1000)
+		sv.dyn.SetLoadHint(float64(sv.windowArrivals) / governorPeriodMS * 1000)
 	}
 	sv.windowArrivals = 0
 	sv.lastWindow = sv.windowLat
 	sv.windowLat = sim.Sample{}
 	sv.provisionBitstreams()
-	sv.sim.AfterCall(sim.Duration(sv.opts.GovernorPeriodMS), fireGovernorTick, sv)
+	sv.sim.AfterCall(sim.Duration(governorPeriodMS), fireGovernorTick, sv)
 }
 
 // provisionBitstreams keeps every kernel's preferred FPGA implementation
@@ -928,17 +970,19 @@ func (sv *Server) governorTick() {
 // background one costs nothing, so the governor pre-positions bitstreams
 // the way a datacenter operator pre-stages container images.
 func (sv *Server) provisionBitstreams() {
-	sc, ok := sv.planner.(*sched.Scheduler)
-	if !ok || len(sv.node.FPGAs) == 0 {
+	sc := sv.dyn
+	if sc == nil || len(sv.node.FPGAs) == 0 {
 		return
 	}
+	fpgas := sv.boards[len(sv.node.GPUs):]
 	resident := map[string]bool{}
-	for _, f := range sv.node.FPGAs {
-		if f.Loaded() != "" {
-			resident[f.Loaded()] = true
+	for i := range fpgas {
+		b := &fpgas[i]
+		if l := b.fpga.Loaded(); l != "" {
+			resident[l] = true
 		}
-		if id := sv.intended[f.Name()]; id != "" {
-			resident[id] = true
+		if b.intended != "" {
+			resident[b.intended] = true
 		}
 	}
 	// Which kernels have no board at all? Prefer flashing blanks; when no
@@ -951,12 +995,8 @@ func (sv *Server) provisionBitstreams() {
 		return ""
 	}
 	boardKernels := map[string]int{}
-	for _, f := range sv.node.FPGAs {
-		id := sv.intended[f.Name()]
-		if id == "" {
-			id = f.Loaded()
-		}
-		if k := kernelOf(id); k != "" {
+	for i := range fpgas {
+		if k := kernelOf(fpgas[i].residency()); k != "" {
 			boardKernels[k]++
 		}
 	}
@@ -970,28 +1010,26 @@ func (sv *Server) provisionBitstreams() {
 			missing = append(missing, id)
 		}
 	}
-	for _, f := range sv.node.FPGAs {
+	for i := range fpgas {
 		if len(missing) == 0 {
 			break
 		}
-		if f.Loaded() == "" && f.Idle() && sv.intended[f.Name()] == "" {
-			f.Preload(missing[0])
-			sv.intended[f.Name()] = missing[0]
+		b := &fpgas[i]
+		if b.fpga.Loaded() == "" && b.fpga.Idle() && b.intended == "" {
+			b.fpga.Preload(missing[0])
+			b.intended = missing[0]
 			missing = missing[1:]
 		}
 	}
-	for _, f := range sv.node.FPGAs {
+	for i := range fpgas {
 		if len(missing) == 0 {
 			break
 		}
-		cur := sv.intended[f.Name()]
-		if cur == "" {
-			cur = f.Loaded()
-		}
-		if k := kernelOf(cur); k != "" && boardKernels[k] > 1 && f.Idle() {
+		b := &fpgas[i]
+		if k := kernelOf(b.residency()); k != "" && boardKernels[k] > 1 && b.fpga.Idle() {
 			boardKernels[k]--
-			f.Preload(missing[0])
-			sv.intended[f.Name()] = missing[0]
+			b.fpga.Preload(missing[0])
+			b.intended = missing[0]
 			missing = missing[1:]
 		}
 	}
@@ -1006,16 +1044,8 @@ func (sv *Server) FaultInjector() *fault.Injector { return sv.injector }
 // Cached-vs-uncached equivalence tests compare these bitwise.
 func (sv *Server) LatencySamples() []float64 { return sv.latencies.Values() }
 
-// PlannerCacheStats reports the planner's plan-cache hit/miss counters
-// when the planner memoizes (both the dynamic scheduler and the static
-// baselines do), or zeros otherwise.
-func (sv *Server) PlannerCacheStats() (hits, misses int) {
-	type cacheStats interface{ PlanCacheStats() (int, int) }
-	if cs, ok := sv.planner.(cacheStats); ok {
-		return cs.PlanCacheStats()
-	}
-	return 0, 0
-}
+// PlannerCacheStats reports the planner's plan-cache hit/miss counters.
+func (sv *Server) PlannerCacheStats() (hits, misses int) { return sv.planner.PlanCacheStats() }
 
 // latencyPressure reports whether the previous monitoring window's tail
 // is close to the bound. Using a window, not the run-cumulative sample,
@@ -1148,10 +1178,10 @@ func (sv *Server) Collect() Result {
 	// request has been admitted and completed. (Run-to-empty would never
 	// terminate with the governor enabled — it reschedules itself
 	// forever.)
-	horizon := sv.sim.Now() + sim.Time(sv.opts.GovernorPeriodMS)
+	horizon := sv.sim.Now() + sim.Time(governorPeriodMS)
 	for !sv.Drained() {
 		sv.sim.RunUntil(horizon)
-		horizon += sim.Time(sv.opts.GovernorPeriodMS)
+		horizon += sim.Time(governorPeriodMS)
 	}
 	// One more horizon flushes trailing bookkeeping events (device power
 	// transitions). Never Run-to-empty: the governor reschedules itself
@@ -1169,7 +1199,7 @@ func (sv *Server) Drained() bool {
 
 // GovernorPeriodMS returns the monitor/optimizer cycle length — the
 // horizon step a fleet's drain loop advances its shard clocks by.
-func (sv *Server) GovernorPeriodMS() float64 { return sv.opts.GovernorPeriodMS }
+func (sv *Server) GovernorPeriodMS() float64 { return governorPeriodMS }
 
 // Summarize builds the run summary at the current instant without
 // driving the simulator. Collect = drain + Summarize; a fleet drains its

@@ -25,8 +25,9 @@ import (
 // Hits are zero-copy: the cached *Plan itself is returned, shared by
 // every requester. That is sound because plans are sealed at insertion —
 // immutable thereafter (the plancheck build tag turns any mutation into a
-// panic on the next hit) — and callers rebase per-request deviations into
-// their own PlanView instead of editing the plan.
+// panic on the next hit) — and callers keep per-request deviations in
+// their own state (the runtime's request.assign) instead of editing the
+// plan.
 //
 // Mode changes (throughput mode, slack, load hint, DVFS, residency) are
 // folded into the key rather than flushing entries: when the governor
@@ -314,7 +315,7 @@ func (p *Plan) verifySeal() {
 		panic("sched: unsealed plan in cache")
 	}
 	if p.fingerprint() != p.sum {
-		panic("sched: cached plan mutated after seal — plans are shared zero-copy and immutable; rebase per-request changes into a PlanView")
+		panic("sched: cached plan mutated after seal — plans are shared zero-copy and immutable; keep per-request changes out of the plan")
 	}
 }
 
@@ -351,30 +352,4 @@ func (p *Plan) fingerprint() uint64 {
 		mix(math.Float64bits(a.CommitMS))
 	}
 	return h
-}
-
-// PlanView is a caller-owned, reusable view over a shared immutable Plan:
-// the per-kernel-index assignment pointers start out aliasing the plan's
-// own assignments and may be repointed per request (e.g. a failure-retry
-// re-placement) without touching the plan itself. Reset prepares the view
-// for a new request in O(n) with no allocation after first use.
-type PlanView struct {
-	// Plan is the shared sealed plan this view rebases.
-	Plan *Plan
-	// Assign maps dense kernel index → effective assignment for this
-	// request. Entries may be repointed to request-private Assignments.
-	Assign []*Assignment
-}
-
-// Reset points the view at a plan and clears n assignment slots.
-func (v *PlanView) Reset(p *Plan, n int) {
-	v.Plan = p
-	if cap(v.Assign) < n {
-		v.Assign = make([]*Assignment, n)
-		return
-	}
-	v.Assign = v.Assign[:n]
-	for i := range v.Assign {
-		v.Assign[i] = nil
-	}
 }

@@ -243,8 +243,7 @@ func TestPlanCacheDisabled(t *testing.T) {
 
 // TestPlanCacheHitIsSharedImmutable checks the zero-copy contract: every
 // hit aliases the single sealed plan, with the pre-sorted order pointing
-// into the plan's own assignments, and a PlanView rebases per-request
-// deviations without touching the shared plan.
+// into the plan's own assignments.
 func TestPlanCacheHitIsSharedImmutable(t *testing.T) {
 	s, _, _ := buildSched(t)
 	devs := steadyDevices(s)
@@ -268,36 +267,6 @@ func TestPlanCacheHitIsSharedImmutable(t *testing.T) {
 	for _, a := range ord {
 		if second.Assignment(a.Kernel) != a {
 			t.Fatalf("order entry %q does not point at the plan's own assignment", a.Kernel)
-		}
-	}
-	// Per-request deviations go into a caller-owned PlanView, leaving the
-	// shared plan untouched.
-	var v PlanView
-	v.Reset(first, len(ord))
-	for i, a := range ord {
-		v.Assign[i] = a
-	}
-	retry := *ord[0]
-	retry.StartMS = -1
-	v.Assign[0] = &retry
-	third, hit := scheduleOnce(t, s, devs, 0)
-	if !hit {
-		t.Fatal("third call must hit")
-	}
-	for _, a := range third.Assignments {
-		if a.StartMS < 0 {
-			t.Fatalf("view rebase leaked into the shared plan (kernel %q)", a.Kernel)
-		}
-	}
-	// Reset recycles the view's slot array for the next request.
-	prev := &v.Assign[0]
-	v.Reset(third, len(ord))
-	if &v.Assign[0] != prev {
-		t.Fatal("Reset must reuse the view's assignment slots")
-	}
-	for i := range v.Assign {
-		if v.Assign[i] != nil {
-			t.Fatalf("Reset left slot %d populated", i)
 		}
 	}
 }

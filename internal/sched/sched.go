@@ -732,7 +732,7 @@ func evicts(kernel string, d *DeviceState) bool {
 // planning is a pure function of exactly those inputs and all times are
 // relative to the planning instant. Returned plans are immutable (sealed
 // at insertion; the plancheck build tag turns mutation into a panic):
-// callers needing per-request deviations rebase into their own PlanView.
+// callers keep per-request deviations in their own state.
 func (s *Scheduler) Schedule(devices []DeviceState, boundMS float64) (*Plan, error) {
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("sched: no devices")

@@ -33,14 +33,14 @@ const (
 type StaticPlanner struct {
 	prog  *opencl.Program
 	class device.Class
-	// impls is the fixed kernel → implementation mapping.
-	impls map[string]*model.Impl
-	order []string
-	// knames/orderIdx/preds are the program interned to dense kernel
-	// indices (see internKernels); orderIdx is order in those indices.
+	// knames/kidx/preds are the program interned to dense kernel indices
+	// (see internKernels); orderIdx is its topological order in those
+	// indices and impls the fixed implementation per kernel index.
 	knames   []string
-	orderIdx []int32
+	kidx     map[string]int32
 	preds    [][]predEdge
+	orderIdx []int32
+	impls    []*model.Impl
 
 	// healthEpoch mirrors the dynamic scheduler's board-health
 	// generation: folded into the cache key so health transitions
@@ -54,10 +54,11 @@ type StaticPlanner struct {
 	keyBuf []byte
 	// resid resolves resident-bitstream IDs to plan-key codes.
 	resid residencies
-	// scratchWork and slab are the reusable per-call device working copy
-	// and placement slab.
+	// scratchWork, slab and part are the reusable per-call device working
+	// copy, placement slab and partition.
 	scratchWork []DeviceState
 	slab        []Assignment
+	part        [][]bool
 }
 
 // NewStatic builds the baseline planner for one accelerator family.
@@ -69,18 +70,19 @@ func NewStatic(prog *opencl.Program, spaces *dse.KernelSpaces, class device.Clas
 	if err != nil {
 		return nil, err
 	}
-	sp := &StaticPlanner{prog: prog, class: class, impls: make(map[string]*model.Impl), order: topo,
+	sp := &StaticPlanner{prog: prog, class: class,
 		cache: newPlanCache(defaultPlanCacheCapacity), resid: newResidencies()}
-	var kidx map[string]int32
-	sp.knames, kidx, sp.preds = internKernels(prog, device.DefaultPCIe)
+	sp.knames, sp.kidx, sp.preds = internKernels(prog, device.DefaultPCIe)
 	for _, k := range topo {
-		sp.orderIdx = append(sp.orderIdx, kidx[k])
+		sp.orderIdx = append(sp.orderIdx, sp.kidx[k])
 	}
 	sp.slab = make([]Assignment, len(sp.knames))
+	sp.part = make([][]bool, len(sp.knames))
 
-	pick := func(mode StaticMode) (map[string]*model.Impl, error) {
-		out := make(map[string]*model.Impl, len(topo))
-		for _, k := range topo {
+	pick := func(mode StaticMode) ([]*model.Impl, error) {
+		out := make([]*model.Impl, len(sp.knames))
+		for _, ki := range sp.orderIdx {
+			k := sp.knames[ki]
 			space := spaces.Space(k, class)
 			if space == nil {
 				return nil, fmt.Errorf("sched: kernel %q has no %s design space", k, class)
@@ -94,7 +96,7 @@ func NewStatic(prog *opencl.Program, spaces *dse.KernelSpaces, class device.Clas
 			if im == nil {
 				return nil, fmt.Errorf("sched: kernel %q has an empty %s frontier", k, class)
 			}
-			out[k] = im
+			out[ki] = im
 		}
 		return out, nil
 	}
@@ -127,24 +129,29 @@ func NewStatic(prog *opencl.Program, spaces *dse.KernelSpaces, class device.Clas
 	return sp, nil
 }
 
-// Impl returns the fixed implementation for a kernel.
-func (sp *StaticPlanner) Impl(kernel string) *model.Impl { return sp.impls[kernel] }
+// Impl returns the fixed implementation for a kernel (nil if unknown).
+func (sp *StaticPlanner) Impl(kernel string) *model.Impl {
+	if ki, ok := sp.kidx[kernel]; ok {
+		return sp.impls[ki]
+	}
+	return nil
+}
 
 // criticalPathMS is the unloaded DAG latency under the fixed mapping,
 // ignoring device contention (single in-flight request).
 func (sp *StaticPlanner) criticalPathMS() float64 {
-	finish := make(map[string]float64, len(sp.order))
+	finish := make([]float64, len(sp.knames))
 	var max float64
-	for _, k := range sp.order {
+	for _, ki := range sp.orderIdx {
 		var ready float64
-		for _, e := range sp.prog.Preds(k) {
-			if finish[e.From] > ready {
-				ready = finish[e.From]
+		for _, e := range sp.preds[ki] {
+			if finish[e.from] > ready {
+				ready = finish[e.from]
 			}
 		}
-		finish[k] = ready + sp.impls[k].LatencyMS
-		if finish[k] > max {
-			max = finish[k]
+		finish[ki] = ready + sp.impls[ki].LatencyMS
+		if finish[ki] > max {
+			max = finish[ki]
 		}
 	}
 	return max
@@ -155,58 +162,66 @@ func (sp *StaticPlanner) criticalPathMS() float64 {
 // time (at least one board each). This is the baseline's "hard mapping":
 // a board only ever hosts one kernel, so FPGAs never reconfigure after
 // the first load — exactly how a fixed Sirius-style deployment pins
-// bitstreams.
-func (sp *StaticPlanner) partition(devices []DeviceState) map[string]map[string]bool {
-	var boards []string
-	for _, d := range devices {
-		if d.Class == sp.class {
-			boards = append(boards, d.Name)
+// bitstreams. The result is indexed [kernel index][device position]; its
+// storage is reused across calls.
+func (sp *StaticPlanner) partition(devices []DeviceState) [][]bool {
+	var boards []int
+	for di := range devices {
+		if devices[di].Class == sp.class {
+			boards = append(boards, di)
 		}
 	}
-	out := make(map[string]map[string]bool, len(sp.order))
+	out := sp.part
+	for ki := range out {
+		if cap(out[ki]) < len(devices) {
+			out[ki] = make([]bool, len(devices))
+		}
+		out[ki] = out[ki][:len(devices)]
+		clear(out[ki])
+	}
 	if len(boards) == 0 {
 		return out
 	}
 	var total float64
-	for _, k := range sp.order {
-		total += sp.impls[k].LatencyMS
+	for _, ki := range sp.orderIdx {
+		total += sp.impls[ki].LatencyMS
 	}
 	// First pass: proportional share, at least one board per kernel when
-	// enough boards exist; boards assigned contiguously in name order.
-	n := len(boards)
+	// enough boards exist; boards assigned contiguously in device order.
+	n, nk := len(boards), len(sp.orderIdx)
 	next := 0
-	for i, k := range sp.order {
+	for i, ki := range sp.orderIdx {
 		share := 1
-		if total > 0 && len(sp.order) <= n {
-			share = int(float64(n) * sp.impls[k].LatencyMS / total)
+		if total > 0 && nk <= n {
+			share = int(float64(n) * sp.impls[ki].LatencyMS / total)
 			if share < 1 {
 				share = 1
 			}
 		}
-		remainingKernels := len(sp.order) - i - 1
+		remainingKernels := nk - i - 1
 		if next+share > n-remainingKernels {
 			share = n - remainingKernels - next
 			if share < 1 {
 				share = 1
 			}
 		}
-		set := make(map[string]bool, share)
+		assigned := false
 		for j := 0; j < share && next < n; j++ {
-			set[boards[next]] = true
+			out[ki][boards[next]] = true
 			next++
+			assigned = true
 		}
-		if len(set) == 0 {
+		if !assigned {
 			// More kernels than boards: share boards round-robin.
-			set[boards[i%n]] = true
+			out[ki][boards[i%n]] = true
 		}
-		out[k] = set
 	}
 	// Leftover boards go to the heaviest kernel.
 	if next < n {
-		heaviest := sp.order[0]
-		for _, k := range sp.order {
-			if sp.impls[k].LatencyMS > sp.impls[heaviest].LatencyMS {
-				heaviest = k
+		heaviest := sp.orderIdx[0]
+		for _, ki := range sp.orderIdx {
+			if sp.impls[ki].LatencyMS > sp.impls[heaviest].LatencyMS {
+				heaviest = ki
 			}
 		}
 		for ; next < n; next++ {
@@ -229,7 +244,7 @@ func (sp *StaticPlanner) SetHealthEpoch(e uint64) { sp.healthEpoch = e }
 // deployment that just lost a board has no better option than sharing
 // the survivors.
 func (sp *StaticPlanner) PlaceKernel(kernel string, devices []DeviceState) (*Assignment, error) {
-	im := sp.impls[kernel]
+	im := sp.Impl(kernel)
 	if im == nil {
 		return nil, fmt.Errorf("sched: unknown kernel %q", kernel)
 	}
@@ -285,11 +300,12 @@ func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*
 	clear(slab)
 	for _, ki := range sp.orderIdx {
 		k := sp.knames[ki]
-		im := sp.impls[k]
+		im := sp.impls[ki]
 		var best Assignment
+		bestDi := -1
 		for di := range work {
 			d := &work[di]
-			if d.Class != sp.class || !part[k][d.Name] {
+			if d.Class != sp.class || !part[ki][di] {
 				continue
 			}
 			est := d.availableAt(ImplID(im))
@@ -311,23 +327,21 @@ func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*
 				best = Assignment{Kernel: k, Impl: im, Device: d.Name,
 					StartMS: est, EndMS: end, ExecMS: im.LatencyMS / d.freq(),
 					CommitMS: d.commitMS(im, float64(max(1, im.Config.Batch)))}
+				bestDi = di
 			}
 		}
 		if best.Impl == nil {
 			return nil, fmt.Errorf("sched: no %s device available for kernel %q", sp.class, k)
 		}
 		slab[ki] = best
-		for di := range work {
-			if work[di].Name == best.Device {
-				if free := best.StartMS + best.CommitMS; free > work[di].FreeAtMS {
-					work[di].FreeAtMS = free
-				}
-				if best.EndMS > work[di].lastEndMS {
-					work[di].lastEndMS = best.EndMS
-				}
-				work[di].LoadedImpl = ImplID(best.Impl)
-			}
+		d := &work[bestDi]
+		if free := best.StartMS + best.CommitMS; free > d.FreeAtMS {
+			d.FreeAtMS = free
 		}
+		if best.EndMS > d.lastEndMS {
+			d.lastEndMS = best.EndMS
+		}
+		d.LoadedImpl = ImplID(best.Impl)
 	}
 	var makespanMS, energyMJ float64
 	for _, ki := range sp.orderIdx {
