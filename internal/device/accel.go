@@ -32,27 +32,12 @@ type Task struct {
 	enqueuedAt sim.Time
 	// PowerW is the board's active power while executing this impl.
 	PowerW float64
-	// OnStart is called when the device begins executing the task (the
-	// launch or pipeline-initiation instant). May be nil; telemetry uses
-	// it to split queue time from service time per request.
-	OnStart func(at sim.Time)
-	// OnDone is called when the task completes. May be nil.
-	OnDone func(at sim.Time)
-	// OnFail is called instead of OnDone when the board loses the task —
-	// a submission rejected or a queue flushed by an injected board
-	// failure, or a bitstream that repeatedly refuses to load. May be
-	// nil, in which case the task silently disappears (the runtime always
-	// sets it when fault injection is active).
-	OnFail func(at sim.Time)
-
-	// Owner, when set, receives the lifecycle callbacks instead of the
-	// OnStart/OnDone/OnFail fields. Pooled owners (the runtime's request
-	// objects) use it to avoid allocating three closures per task; the
-	// func fields remain for ad-hoc callers.
+	// Owner receives the task's lifecycle callbacks. A nil Owner runs
+	// the task silently: it still occupies the board, but no one hears
+	// of its start, completion or failure.
 	Owner TaskOwner
-	// Device is the board name the task was submitted to; owner-based
-	// callers set it so the Owner callbacks can attribute the task
-	// without a captured closure.
+	// Device is the board name the task was submitted to, so the Owner
+	// callbacks can attribute the task without a captured closure.
 	Device string
 	// KernelIdx is the owner's dense kernel index for Kernel (see
 	// runtime's program interning); opaque to the device layer.
@@ -66,48 +51,33 @@ type Task struct {
 	fpga *FPGADevice
 }
 
-// TaskOwner receives a task's lifecycle callbacks. It is the
-// allocation-free alternative to the OnStart/OnDone/OnFail fields: one
-// long-lived owner serves every task it submits, with the task itself
-// carrying the per-task context (Device, KernelIdx, PredictedEndMS).
+// TaskOwner receives a task's lifecycle callbacks. One long-lived owner
+// serves every task it submits, with the task itself carrying the
+// per-task context (Device, KernelIdx, PredictedEndMS), so submitting
+// allocates no closures.
 type TaskOwner interface {
-	// TaskStarted fires when the device begins executing the task.
+	// TaskStarted fires when the device begins executing the task (the
+	// launch or pipeline-initiation instant).
 	TaskStarted(t *Task, at sim.Time)
 	// TaskDone fires when the task completes.
 	TaskDone(t *Task, at sim.Time)
-	// TaskFailed fires instead of TaskDone when the board loses the task.
+	// TaskFailed fires instead of TaskDone when the board loses the task:
+	// a submission rejected or a queue flushed by an injected board
+	// failure, or a bitstream that repeatedly refuses to load.
 	TaskFailed(t *Task, at sim.Time)
 }
 
-// started/done/fail dispatch a lifecycle callback, preferring Owner.
+// started/done report a lifecycle step to the task's owner, if any.
 
 func (t *Task) started(at sim.Time) {
 	if t.Owner != nil {
 		t.Owner.TaskStarted(t, at)
-		return
-	}
-	if t.OnStart != nil {
-		t.OnStart(at)
 	}
 }
 
 func (t *Task) done(at sim.Time) {
 	if t.Owner != nil {
 		t.Owner.TaskDone(t, at)
-		return
-	}
-	if t.OnDone != nil {
-		t.OnDone(at)
-	}
-}
-
-func (t *Task) fail(at sim.Time) {
-	if t.Owner != nil {
-		t.Owner.TaskFailed(t, at)
-		return
-	}
-	if t.OnFail != nil {
-		t.OnFail(at)
 	}
 }
 
@@ -222,12 +192,15 @@ func (b *accelBase) down() bool {
 // deferring keeps the failure callback (which typically re-submits the
 // task elsewhere) out of the device's own queue manipulation.
 func (b *accelBase) failTask(t *Task) {
-	if t.Owner != nil || t.OnFail != nil {
+	if t.Owner != nil {
 		b.sim.AfterCall(0, fireTaskFail, t)
 	}
 }
 
-func fireTaskFail(at sim.Time, a any) { a.(*Task).fail(at) }
+func fireTaskFail(at sim.Time, a any) {
+	t := a.(*Task)
+	t.Owner.TaskFailed(t, at)
+}
 
 // execScale returns the fault layer's duration multiplier (1 when off).
 func (b *accelBase) execScale(implID string) float64 {
@@ -288,7 +261,6 @@ type GPUDevice struct {
 	level    int // index into spec.DVFS
 	queue    []*Task
 	running  bool
-	pending  bool // a launch event is scheduled
 	freeAt   sim.Time
 	launches int
 	tasks    int
@@ -378,7 +350,6 @@ func (g *GPUDevice) Submit(t *Task) {
 	if !g.running {
 		// (Re-)evaluate at the next event boundary: a new arrival may
 		// complete a batch that was waiting on its window.
-		g.pending = true
 		g.sim.AfterCall(0, fireGPULaunch, g)
 	}
 }
@@ -400,13 +371,12 @@ func fireGPUDone(now sim.Time, a any) {
 // launch is deferred — trading a bounded wait for the amortization that
 // makes GPUs throughput-efficient.
 func (g *GPUDevice) launch() {
-	g.pending = false
 	if g.running {
 		return
 	}
 	if g.down() {
 		// The board failed while work was queued: flush everything. The
-		// owners' OnFail callbacks re-place the tasks on healthy boards.
+		// owners' TaskFailed callbacks re-place the tasks on healthy boards.
 		q := g.queue
 		g.queue = nil
 		g.setPower(g.idlePower())
@@ -477,7 +447,6 @@ func (g *GPUDevice) launch() {
 			q = append(q, batch...)
 			q = append(q, keep...)
 			g.queue = q
-			g.pending = true
 			g.sim.AtCall(deadline, fireGPULaunch, g)
 			return
 		}
@@ -694,7 +663,7 @@ func (f *FPGADevice) Submit(t *Task) {
 func (f *FPGADevice) drain() {
 	if f.down() {
 		// The board failed while work was queued: flush everything. The
-		// owners' OnFail callbacks re-place the tasks on healthy boards.
+		// owners' TaskFailed callbacks re-place the tasks on healthy boards.
 		q := f.queue
 		f.queue = nil
 		f.draining = false

@@ -7,9 +7,32 @@ import (
 	"poly/internal/sim"
 )
 
+// funcOwner adapts per-task start and completion callbacks to
+// TaskOwner; nil fields are skipped and failures ignored.
+type funcOwner struct{ start, done func(sim.Time) }
+
+func (o *funcOwner) TaskStarted(_ *Task, at sim.Time) { call(o.start, at) }
+func (o *funcOwner) TaskDone(_ *Task, at sim.Time)    { call(o.done, at) }
+func (o *funcOwner) TaskFailed(*Task, sim.Time)       {}
+
+func call(fn func(sim.Time), at sim.Time) {
+	if fn != nil {
+		fn(at)
+	}
+}
+
+// onDone returns an owner reporting completion to done, or nil (a silent
+// task) when done is nil.
+func onDone(done func(sim.Time)) TaskOwner {
+	if done == nil {
+		return nil
+	}
+	return &funcOwner{done: done}
+}
+
 func gpuTask(impl string, lat float64, batch int, done func(sim.Time)) *Task {
 	return &Task{Kernel: "k", ImplID: impl, LatencyMS: lat, IntervalMS: lat,
-		Batch: batch, PowerW: 200, OnDone: done}
+		Batch: batch, PowerW: 200, Owner: onDone(done)}
 }
 
 func TestGPUExecutesAndAccountsEnergy(t *testing.T) {
@@ -126,7 +149,7 @@ func TestGPUNextFreeAtGrowsWithQueue(t *testing.T) {
 
 func fpgaTask(impl string, lat, ii float64, done func(sim.Time)) *Task {
 	return &Task{Kernel: "k", ImplID: impl, LatencyMS: lat, IntervalMS: ii,
-		Batch: 1, PowerW: 30, OnDone: done}
+		Batch: 1, PowerW: 30, Owner: onDone(done)}
 }
 
 func TestFPGAPaysReconfigurationOnImplChange(t *testing.T) {

@@ -13,8 +13,11 @@ import (
 func fpgaExecMS(t *testing.T, s *sim.Simulator, f *FPGADevice, impl string) float64 {
 	t.Helper()
 	var start, end sim.Time
-	task := fpgaTask(impl, 100, 100, func(at sim.Time) { end = at })
-	task.OnStart = func(at sim.Time) { start = at }
+	task := fpgaTask(impl, 100, 100, nil)
+	task.Owner = &funcOwner{
+		start: func(at sim.Time) { start = at },
+		done:  func(at sim.Time) { end = at },
+	}
 	f.Submit(task)
 	s.Run()
 	if end == 0 {

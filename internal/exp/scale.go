@@ -213,6 +213,13 @@ func (r *AccuracyResult) Render() string {
 	return b.String()
 }
 
+// doneProbe records when the accuracy probe's single task completes.
+type doneProbe struct{ doneAt sim.Time }
+
+func (*doneProbe) TaskStarted(*device.Task, sim.Time)     {}
+func (p *doneProbe) TaskDone(_ *device.Task, at sim.Time) { p.doneAt = at }
+func (*doneProbe) TaskFailed(*device.Task, sim.Time)      {}
+
 // modelAccuracy executes each kernel's fastest implementation once on a
 // fresh board and compares the measured span with the model's prediction.
 // Apps fan out across the worker pool (each probe owns its simulator);
@@ -235,12 +242,11 @@ func modelAccuracy() (Result, error) {
 			for _, class := range []device.Class{device.GPU, device.FPGA} {
 				im := ks.Space(k.Name, class).MinLatency()
 				s := sim.New()
-				var doneAt sim.Time
+				var probe doneProbe
 				task := &device.Task{
 					Kernel: k.Name, ImplID: im.Kernel + "/probe",
 					LatencyMS: im.LatencyMS, IntervalMS: im.IntervalMS,
-					Batch: 1, PowerW: im.PowerW,
-					OnDone: func(at sim.Time) { doneAt = at },
+					Batch: 1, PowerW: im.PowerW, Owner: &probe,
 				}
 				var started sim.Time
 				if class == device.GPU {
@@ -253,7 +259,7 @@ func modelAccuracy() (Result, error) {
 					f.Submit(task)
 				}
 				s.Run()
-				measured := float64(doneAt - started)
+				measured := float64(probe.doneAt - started)
 				rows = append(rows, AccuracyRow{
 					App: name, Kernel: k.Name, Platform: class.String(),
 					ModelMS: im.LatencyMS, MeasuredMS: measured,

@@ -60,7 +60,7 @@ func sameServe(t *testing.T, label string, a, b Result, latA, latB []float64) {
 // three sessions — no fault config, a zero-rate config, and an armed
 // injector whose script only targets a nonexistent board — and requires
 // all three to be bit-identical. The third session exercises every hook
-// (OnFail wiring, ExecScale calls, the deviation monitor, health-gated
+// (TaskFailed wiring, ExecScale calls, the deviation monitor, health-gated
 // admission) with the injector returning neutral answers, so any
 // perturbation the fault layer leaks into a fault-free run fails here.
 func TestServeFaultsDisabledEquivalence(t *testing.T) {

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"math"
-	"math/rand"
-)
+import "math/rand"
 
 // RNG is a deterministic random source with the distribution helpers the
 // workload generators need. It wraps math/rand with a fixed seed so every
@@ -41,26 +38,3 @@ func (g *RNG) Exp(mean float64) float64 {
 func (g *RNG) Normal(mean, stddev float64) float64 {
 	return g.r.NormFloat64()*stddev + mean
 }
-
-// LogNormal returns a log-normal sample parameterized by the mean and
-// stddev of the underlying normal. Service-time distributions in
-// interactive services are commonly log-normal-tailed.
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(g.r.NormFloat64()*sigma + mu)
-}
-
-// Pareto returns a bounded Pareto sample with minimum xm and shape alpha.
-// Used for heavy-tailed request-size injection in stress tests.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Shuffle randomizes the order of n elements using swap.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }

@@ -6,11 +6,10 @@
 // for a fixed seed and schedule. Time is measured in milliseconds, the
 // natural unit of the paper's latency bounds (e.g. a 200 ms p99 target).
 //
-// Events live in a simulator-owned arena: scheduling reuses slots from a
-// free list instead of allocating, and the queue is a flat 4-ary indexed
-// heap over slot indices. Callers refer to scheduled events through
-// generation-counted Handles, so Cancel on an event that already fired
-// (and whose slot was recycled) is a safe no-op.
+// Pending events are kept by value in a flat 4-ary heap, so scheduling
+// allocates nothing once the heap has grown. A scheduled event cannot be
+// cancelled: an owner whose event may go stale carries its own
+// generation and ignores the event when it fires.
 package sim
 
 import "fmt"
@@ -24,52 +23,25 @@ type Duration = Time
 // String formats the time as milliseconds with microsecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fms", float64(t)) }
 
-// Handle identifies a scheduled event. The zero Handle is invalid. A
-// Handle stays distinguishable from later events that reuse the same
-// arena slot: each slot carries a generation counter that is bumped when
-// the slot is recycled, so Cancel with a stale Handle returns false.
-type Handle struct {
-	idx int32
-	gen uint32
-}
-
-// Valid reports whether the handle was ever issued by a simulator. It
-// does not imply the event is still pending; use Cancel's return value
-// for that.
-func (h Handle) Valid() bool { return h.gen != 0 }
-
-// eventSlot is one arena entry. A slot is either pending (heapIdx >= 0)
-// or on the free list (heapIdx < 0, nextFree links the list).
-type eventSlot struct {
-	at       Time
-	seq      uint64
-	gen      uint32
-	heapIdx  int32
-	nextFree int32
-	// Exactly one of fn or action is set while pending. fn+arg is the
-	// closure-free form: hot callers pass a top-level function and a
-	// long-lived argument so scheduling captures nothing.
-	fn     func(Time, any)
-	arg    any
-	action func()
+// event is one pending callback: fn(at, arg), ordered by (at, seq).
+type event struct {
+	at  Time
+	seq uint64
+	fn  func(Time, any)
+	arg any
 }
 
 // Simulator is a single-threaded discrete-event simulator. The zero value
 // is not usable; construct with New.
 type Simulator struct {
-	now    Time
-	seq    uint64
-	slots  []eventSlot
-	free   int32 // head of the free-slot list; -1 when empty
-	heap   []int32
-	fired  uint64
-	halted bool
+	now   Time
+	seq   uint64
+	heap  []event
+	fired uint64
 }
 
 // New returns a simulator with the clock at zero and an empty event queue.
-func New() *Simulator {
-	return &Simulator{free: -1}
-}
+func New() *Simulator { return &Simulator{} }
 
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
@@ -80,134 +52,61 @@ func (s *Simulator) Fired() uint64 { return s.fired }
 // Pending returns the number of events still scheduled.
 func (s *Simulator) Pending() int { return len(s.heap) }
 
-// schedule claims an arena slot for an event at the (past-clamped) time
-// and pushes it on the heap. The caller fills in the callback fields.
-func (s *Simulator) schedule(at Time) (int32, Handle) {
+// AtCall schedules fn(firingTime, arg) at absolute time at. Scheduling in
+// the past (before Now) clamps to Now: the event fires next, without
+// rewinding the clock. Passing a top-level function and a long-lived
+// argument schedules without capturing, so the hot serving path creates
+// no closure garbage.
+func (s *Simulator) AtCall(at Time, fn func(Time, any), arg any) {
 	if at < s.now {
 		at = s.now
 	}
-	var idx int32
-	if s.free >= 0 {
-		idx = s.free
-		s.free = s.slots[idx].nextFree
-	} else {
-		s.slots = append(s.slots, eventSlot{gen: 1})
-		idx = int32(len(s.slots) - 1)
-	}
-	e := &s.slots[idx]
-	e.at = at
-	e.seq = s.seq
+	s.heap = append(s.heap, event{at: at, seq: s.seq, fn: fn, arg: arg})
 	s.seq++
-	s.heapPush(idx)
-	return idx, Handle{idx: idx, gen: e.gen}
-}
-
-// release recycles a slot (fired or cancelled) onto the free list. The
-// generation bump invalidates any outstanding Handles to it.
-func (s *Simulator) release(idx int32) {
-	e := &s.slots[idx]
-	e.gen++
-	e.heapIdx = -1
-	e.fn = nil
-	e.arg = nil
-	e.action = nil
-	e.nextFree = s.free
-	s.free = idx
-}
-
-// At schedules action to run at absolute time at. Scheduling in the past
-// (before Now) clamps to Now: the event fires next, without rewinding the
-// clock. The returned Handle may be passed to Cancel.
-func (s *Simulator) At(at Time, action func()) Handle {
-	idx, h := s.schedule(at)
-	s.slots[idx].action = action
-	return h
-}
-
-// After schedules action to run d milliseconds from now. Negative delays
-// clamp to zero.
-func (s *Simulator) After(d Duration, action func()) Handle {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now+d, action)
-}
-
-// AtCall schedules fn(firingTime, arg) at absolute time at, with the same
-// past-clamp rule as At. It is the allocation-free form of At: passing a
-// top-level function and a long-lived argument schedules without
-// capturing, so the hot serving path creates no closure garbage.
-func (s *Simulator) AtCall(at Time, fn func(Time, any), arg any) Handle {
-	idx, h := s.schedule(at)
-	e := &s.slots[idx]
-	e.fn = fn
-	e.arg = arg
-	return h
+	s.siftUp(len(s.heap) - 1)
 }
 
 // AfterCall schedules fn(firingTime, arg) d milliseconds from now.
 // Negative delays clamp to zero.
-func (s *Simulator) AfterCall(d Duration, fn func(Time, any), arg any) Handle {
+func (s *Simulator) AfterCall(d Duration, fn func(Time, any), arg any) {
 	if d < 0 {
 		d = 0
 	}
-	return s.AtCall(s.now+d, fn, arg)
+	s.AtCall(s.now+d, fn, arg)
 }
 
-// Cancel removes a scheduled event. Cancelling an event that already
-// fired, was already cancelled, or whose Handle is zero is a no-op and
-// returns false — the slot generation check makes stale Handles inert
-// even after the slot has been reused by a later event.
-func (s *Simulator) Cancel(h Handle) bool {
-	if h.gen == 0 || int(h.idx) >= len(s.slots) {
-		return false
-	}
-	e := &s.slots[h.idx]
-	if e.gen != h.gen || e.heapIdx < 0 {
-		return false
-	}
-	s.heapRemove(e.heapIdx)
-	s.release(h.idx)
-	return true
-}
+// At schedules action at absolute time at, with AtCall's past-clamp rule.
+// The closure is the event's argument, so At suits cold paths and tests.
+func (s *Simulator) At(at Time, action func()) { s.AtCall(at, runAction, action) }
 
-// Halt stops the current Run/RunUntil after the in-flight event completes.
-// Remaining events stay queued.
-func (s *Simulator) Halt() { s.halted = true }
+// After schedules action d milliseconds from now (negative clamps to 0).
+func (s *Simulator) After(d Duration, action func()) { s.AfterCall(d, runAction, action) }
+
+func runAction(_ Time, a any) { a.(func())() }
 
 // Step fires the single earliest event, advancing the clock to it. It
-// returns false if the queue is empty. The event's slot is recycled
-// before the callback runs, so callbacks that schedule new events reuse
-// it immediately.
+// returns false if the queue is empty.
 func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
+	n := len(s.heap) - 1
+	if n < 0 {
 		return false
 	}
-	idx := s.heap[0]
-	n := len(s.heap) - 1
+	e := s.heap[0]
 	s.heap[0] = s.heap[n]
-	s.slots[s.heap[0]].heapIdx = 0
+	s.heap[n] = event{} // drop the vacated slot's references for the GC
 	s.heap = s.heap[:n]
 	if n > 1 {
 		s.siftDown(0)
 	}
-	e := &s.slots[idx]
 	s.now = e.at
 	s.fired++
-	fn, arg, action := e.fn, e.arg, e.action
-	s.release(idx)
-	if fn != nil {
-		fn(s.now, arg)
-	} else if action != nil {
-		action()
-	}
+	e.fn(s.now, e.arg)
 	return true
 }
 
-// Run fires events until the queue is empty or Halt is called.
+// Run fires events until the queue is empty.
 func (s *Simulator) Run() {
-	s.halted = false
-	for !s.halted && s.Step() {
+	for s.Step() {
 	}
 }
 
@@ -215,11 +114,10 @@ func (s *Simulator) Run() {
 // clock to deadline (if it is ahead of the last event). Events scheduled
 // after deadline remain queued.
 func (s *Simulator) RunUntil(deadline Time) {
-	s.halted = false
-	for !s.halted && len(s.heap) > 0 && s.slots[s.heap[0]].at <= deadline {
+	for len(s.heap) > 0 && s.heap[0].at <= deadline {
 		s.Step()
 	}
-	if !s.halted && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
 	}
 }
@@ -242,101 +140,66 @@ func (s *Simulator) SeqMark() uint64 { return s.seq }
 // routing decision) has run. Events at the deadline with seq >= mark
 // stay queued and fire on the next advance past the deadline.
 func (s *Simulator) RunUntilBarrier(deadline Time, mark uint64) {
-	s.halted = false
-	for !s.halted && len(s.heap) > 0 {
-		e := &s.slots[s.heap[0]]
+	for len(s.heap) > 0 {
+		e := &s.heap[0]
 		if e.at > deadline || (e.at == deadline && e.seq >= mark) {
 			break
 		}
 		s.Step()
 	}
-	if !s.halted && s.now < deadline {
+	if s.now < deadline {
 		s.now = deadline
 	}
 }
 
 // less orders pending events by (time, sequence number): strict FIFO
 // among same-time events, independent of heap shape.
-func (s *Simulator) less(a, b int32) bool {
-	ea, eb := &s.slots[a], &s.slots[b]
-	if ea.at != eb.at {
-		return ea.at < eb.at
+func less(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 // The heap is 4-ary: children of i are 4i+1..4i+4. Wider nodes mean a
 // shallower tree — fewer cache-missing levels per sift for the large
 // queues a loaded serving simulation builds up.
 
-func (s *Simulator) heapPush(idx int32) {
-	s.heap = append(s.heap, idx)
-	s.slots[idx].heapIdx = int32(len(s.heap) - 1)
-	s.siftUp(len(s.heap) - 1)
-}
-
-// siftUp restores the heap property above position i, returning the
-// element's final position.
-func (s *Simulator) siftUp(i int) int {
+func (s *Simulator) siftUp(i int) {
 	h := s.heap
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
-		if !s.less(h[i], h[p]) {
+		if !less(&e, &h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
-		s.slots[h[i]].heapIdx = int32(i)
-		s.slots[h[p]].heapIdx = int32(p)
+		h[i] = h[p]
 		i = p
 	}
-	return i
+	h[i] = e
 }
 
-// siftDown restores the heap property below position i, returning the
-// element's final position.
-func (s *Simulator) siftDown(i int) int {
+func (s *Simulator) siftDown(i int) {
 	h := s.heap
 	n := len(h)
+	e := h[i]
 	for {
 		first := 4*i + 1
 		if first >= n {
-			return i
+			break
 		}
 		best := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
+		last := min(first+4, n)
 		for c := first + 1; c < last; c++ {
-			if s.less(h[c], h[best]) {
+			if less(&h[c], &h[best]) {
 				best = c
 			}
 		}
-		if !s.less(h[best], h[i]) {
-			return i
+		if !less(&h[best], &e) {
+			break
 		}
-		h[i], h[best] = h[best], h[i]
-		s.slots[h[i]].heapIdx = int32(i)
-		s.slots[h[best]].heapIdx = int32(best)
+		h[i] = h[best]
 		i = best
 	}
-}
-
-// heapRemove deletes the element at heap position pos (used by Cancel;
-// Step pops the root inline).
-func (s *Simulator) heapRemove(pos int32) {
-	h := s.heap
-	n := len(h) - 1
-	removed := h[pos]
-	if int(pos) != n {
-		h[pos] = h[n]
-		s.slots[h[pos]].heapIdx = pos
-	}
-	s.heap = h[:n]
-	if int(pos) < n {
-		if s.siftDown(int(pos)) == int(pos) {
-			s.siftUp(int(pos))
-		}
-	}
-	s.slots[removed].heapIdx = -1
+	h[i] = e
 }

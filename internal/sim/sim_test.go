@@ -75,60 +75,6 @@ func TestNegativeAfterClampsToZeroDelay(t *testing.T) {
 	}
 }
 
-func TestCancelPreventsFiring(t *testing.T) {
-	s := New()
-	fired := false
-	h := s.At(10, func() { fired = true })
-	if !s.Cancel(h) {
-		t.Fatal("Cancel returned false for pending event")
-	}
-	if s.Cancel(h) {
-		t.Fatal("second Cancel should return false")
-	}
-	s.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
-	}
-}
-
-func TestCancelZeroAndFired(t *testing.T) {
-	s := New()
-	if s.Cancel(Handle{}) {
-		t.Fatal("Cancel of the zero Handle must return false")
-	}
-	if (Handle{}).Valid() {
-		t.Fatal("zero Handle must be invalid")
-	}
-	h := s.At(1, func() {})
-	if !h.Valid() {
-		t.Fatal("issued Handle must be valid")
-	}
-	s.Run()
-	if s.Cancel(h) {
-		t.Fatal("Cancel after firing must return false")
-	}
-}
-
-func TestCancelStaleHandleAfterSlotReuse(t *testing.T) {
-	// A fired event's slot is recycled for the next scheduled event; the
-	// old Handle must not cancel the new occupant.
-	s := New()
-	h1 := s.At(1, func() {})
-	s.Run()
-	fired := false
-	h2 := s.At(2, func() { fired = true })
-	if s.Cancel(h1) {
-		t.Fatal("stale Handle cancelled a recycled slot")
-	}
-	s.Run()
-	if !fired {
-		t.Fatal("event in recycled slot did not fire")
-	}
-	if s.Cancel(h2) {
-		t.Fatal("Cancel after firing must return false")
-	}
-}
-
 func TestAtCallPassesFiringTimeAndArg(t *testing.T) {
 	s := New()
 	type box struct{ n int }
@@ -145,21 +91,13 @@ func TestAtCallPassesFiringTimeAndArg(t *testing.T) {
 	}
 }
 
-func TestAtCallCancelAndNegativeAfterCall(t *testing.T) {
+func TestNegativeAfterCallClampsToZeroDelay(t *testing.T) {
 	s := New()
-	n := 0
-	h := s.AtCall(5, func(Time, any) { n++ }, nil)
-	if !s.Cancel(h) {
-		t.Fatal("Cancel of pending AtCall event must succeed")
-	}
 	var at Time
 	s.At(42, func() {
 		s.AfterCall(-5, func(now Time, _ any) { at = now }, nil)
 	})
 	s.Run()
-	if n != 0 {
-		t.Fatal("cancelled AtCall event fired")
-	}
 	if at != 42 {
 		t.Fatalf("negative AfterCall delay fired at %v, want 42", at)
 	}
@@ -238,26 +176,6 @@ func TestRunUntilBarrierEmptyAdvancesClock(t *testing.T) {
 	}
 }
 
-func TestHaltStopsRun(t *testing.T) {
-	s := New()
-	n := 0
-	for i := 0; i < 5; i++ {
-		s.At(Time(i), func() {
-			n++
-			if n == 2 {
-				s.Halt()
-			}
-		})
-	}
-	s.Run()
-	if n != 2 {
-		t.Fatalf("ran %d events after Halt, want 2", n)
-	}
-	if s.Pending() != 3 {
-		t.Fatalf("pending = %d, want 3", s.Pending())
-	}
-}
-
 func TestStepOnEmptyQueue(t *testing.T) {
 	s := New()
 	if s.Step() {
@@ -300,15 +218,6 @@ func TestRNGUniformRange(t *testing.T) {
 	}
 }
 
-func TestRNGParetoBound(t *testing.T) {
-	g := NewRNG(3)
-	for i := 0; i < 1000; i++ {
-		if v := g.Pareto(2, 1.5); v < 2 {
-			t.Fatalf("pareto sample %v below xm=2", v)
-		}
-	}
-}
-
 func TestSampleBasicStats(t *testing.T) {
 	var s Sample
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -319,9 +228,6 @@ func TestSampleBasicStats(t *testing.T) {
 	}
 	if math.Abs(s.Mean()-5) > 1e-12 {
 		t.Fatalf("mean = %v, want 5", s.Mean())
-	}
-	if math.Abs(s.StdDev()-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", s.StdDev())
 	}
 	if s.Min() != 2 || s.Max() != 9 {
 		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
@@ -348,7 +254,7 @@ func TestSamplePercentiles(t *testing.T) {
 
 func TestSampleEmptyAndReset(t *testing.T) {
 	var s Sample
-	if s.Percentile(99) != 0 || s.Mean() != 0 || s.Variance() != 0 {
+	if s.Percentile(99) != 0 || s.Mean() != 0 {
 		t.Fatal("empty sample must report zeros")
 	}
 	s.Add(3)
@@ -384,19 +290,6 @@ func TestSamplePercentileProperty(t *testing.T) {
 	}
 }
 
-func TestTimeSeriesIntegral(t *testing.T) {
-	var ts TimeSeries
-	ts.Add(0, 10)   // 10 for 100ms → 1000
-	ts.Add(100, 20) // 20 for 50ms → 1000
-	ts.Add(150, 0)
-	if got := ts.Integral(); math.Abs(got-2000) > 1e-9 {
-		t.Fatalf("integral = %v, want 2000", got)
-	}
-	if got := ts.MeanValue(); math.Abs(got-2000.0/150) > 1e-9 {
-		t.Fatalf("mean value = %v", got)
-	}
-}
-
 func TestTimeSeriesClampsBackwardTime(t *testing.T) {
 	var ts TimeSeries
 	ts.Add(10, 1)
@@ -408,7 +301,7 @@ func TestTimeSeriesClampsBackwardTime(t *testing.T) {
 
 func TestTimeSeriesEmpty(t *testing.T) {
 	var ts TimeSeries
-	if ts.Integral() != 0 || ts.MeanValue() != 0 || ts.Len() != 0 {
+	if ts.Len() != 0 {
 		t.Fatal("empty series must report zeros")
 	}
 }

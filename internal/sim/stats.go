@@ -29,7 +29,7 @@ func BucketIndex(v float64) int {
 }
 
 // Sample accumulates scalar observations and answers summary queries:
-// count, mean, variance (Welford), min/max, and exact percentiles.
+// count, mean, min/max, and exact percentiles.
 // It keeps every observation plus an incrementally-maintained fixed-bucket
 // histogram (HistogramBoundsMS): a percentile query walks the bucket
 // counts to the bucket holding the target rank and order-selects within
@@ -40,7 +40,6 @@ type Sample struct {
 	counts  []int // per-bucket tallies, len NumHistogramBuckets once used
 	scratch []float64
 	mean    float64
-	m2      float64
 	min     float64
 	max     float64
 }
@@ -62,10 +61,7 @@ func (s *Sample) Add(v float64) {
 		s.counts = make([]int, NumHistogramBuckets)
 	}
 	s.counts[BucketIndex(v)]++
-	// Welford's online update keeps mean/variance numerically stable.
-	delta := v - s.mean
-	s.mean += delta / float64(len(s.values))
-	s.m2 += delta * (v - s.mean)
+	s.mean += (v - s.mean) / float64(len(s.values))
 }
 
 // Count returns the number of observations.
@@ -75,11 +71,6 @@ func (s *Sample) Count() int { return len(s.values) }
 // insertion order (queries never reorder the slice).
 func (s *Sample) Values() []float64 { return s.values }
 
-// BucketCounts exposes the incremental histogram tallies over
-// HistogramBoundsMS (nil before the first observation). The returned
-// slice is a read-only view.
-func (s *Sample) BucketCounts() []int { return s.counts }
-
 // Mean returns the arithmetic mean, or 0 for an empty sample.
 func (s *Sample) Mean() float64 { return s.mean }
 
@@ -88,17 +79,6 @@ func (s *Sample) Min() float64 { return s.min }
 
 // Max returns the largest observation, or 0 for an empty sample.
 func (s *Sample) Max() float64 { return s.max }
-
-// Variance returns the population variance, or 0 with <2 observations.
-func (s *Sample) Variance() float64 {
-	if len(s.values) < 2 {
-		return 0
-	}
-	return s.m2 / float64(len(s.values))
-}
-
-// StdDev returns the population standard deviation.
-func (s *Sample) StdDev() float64 { return math.Sqrt(s.Variance()) }
 
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) using the
 // nearest-rank method — exactly the value a full sort would produce.
@@ -152,18 +132,18 @@ func (s *Sample) Reset() {
 	for i := range s.counts {
 		s.counts[i] = 0
 	}
-	s.mean, s.m2, s.min, s.max = 0, 0, 0, 0
+	s.mean, s.min, s.max = 0, 0, 0
 }
 
 // TimeSeries records (time, value) points, e.g. instantaneous node power
-// over a served trace, and integrates them.
+// over a served trace.
 type TimeSeries struct {
 	Times  []Time
 	Values []float64
 }
 
 // Add appends one point. Times must be non-decreasing; out-of-order points
-// are clamped to the last recorded time so integration stays well-defined.
+// are clamped to the last recorded time.
 func (ts *TimeSeries) Add(t Time, v float64) {
 	if n := len(ts.Times); n > 0 && t < ts.Times[n-1] {
 		t = ts.Times[n-1]
@@ -174,29 +154,3 @@ func (ts *TimeSeries) Add(t Time, v float64) {
 
 // Len returns the number of points.
 func (ts *TimeSeries) Len() int { return len(ts.Times) }
-
-// Integral returns the time integral of the series using step
-// interpolation (each value holds until the next point). For a power
-// series in watts with time in ms, the result is milliwatt-ms; callers
-// convert units. An empty or single-point series integrates to 0.
-func (ts *TimeSeries) Integral() float64 {
-	var total float64
-	for i := 1; i < len(ts.Times); i++ {
-		dt := float64(ts.Times[i] - ts.Times[i-1])
-		total += ts.Values[i-1] * dt
-	}
-	return total
-}
-
-// MeanValue returns the time-weighted mean value, or 0 when the series
-// spans zero time.
-func (ts *TimeSeries) MeanValue() float64 {
-	if len(ts.Times) < 2 {
-		return 0
-	}
-	span := float64(ts.Times[len(ts.Times)-1] - ts.Times[0])
-	if span == 0 {
-		return 0
-	}
-	return ts.Integral() / span
-}

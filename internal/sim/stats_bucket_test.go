@@ -87,14 +87,14 @@ func TestSampleBucketCounts(t *testing.T) {
 		s.Add(float64(i) * 11.3)
 	}
 	total := 0
-	for _, c := range s.BucketCounts() {
+	for _, c := range s.counts {
 		total += c
 	}
 	if total != s.Count() {
 		t.Fatalf("bucket counts sum to %d, want %d", total, s.Count())
 	}
 	s.Reset()
-	for _, c := range s.BucketCounts() {
+	for _, c := range s.counts {
 		if c != 0 {
 			t.Fatal("Reset must zero bucket counts")
 		}

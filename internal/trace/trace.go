@@ -74,16 +74,18 @@ func (t *Trace) Peak() float64 {
 	return m
 }
 
-// Validate checks that every sample is a fraction in [0, 1].
+// Validate checks that the step is positive and finite and that every
+// sample is a fraction in [0, 1]. The comparisons are written so that NaN
+// fails them.
 func (t *Trace) Validate() error {
-	if t.StepMS <= 0 {
-		return fmt.Errorf("trace: non-positive step")
+	if !(t.StepMS > 0) || math.IsInf(t.StepMS, 1) {
+		return fmt.Errorf("trace: step %v is not positive and finite", t.StepMS)
 	}
 	if len(t.Util) == 0 {
 		return fmt.Errorf("trace: empty")
 	}
 	for i, u := range t.Util {
-		if u < 0 || u > 1 {
+		if !(u >= 0 && u <= 1) {
 			return fmt.Errorf("trace: sample %d = %v outside [0,1]", i, u)
 		}
 	}
@@ -180,7 +182,8 @@ func clamp01(v float64) float64 {
 
 // Load reads a trace in the Google cluster-data CSV convention:
 // `timestamp_seconds,utilization` per line, `#` comments allowed.
-// Timestamps must be ascending and equally spaced.
+// Timestamps must be finite, ascending and equally spaced; utilizations
+// must lie in [0, 1].
 func Load(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	var times, utils []float64
@@ -202,6 +205,12 @@ func Load(r io.Reader) (*Trace, error) {
 		u, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: bad utilization: %v", line, err)
+		}
+		// ParseFloat accepts "NaN" and "Inf"; a NaN timestamp would pass
+		// the spacing check below. Validate rejects a non-finite
+		// utilization or step.
+		if math.IsNaN(ts) || math.IsInf(ts, 0) {
+			return nil, fmt.Errorf("trace: line %d: non-finite timestamp", line)
 		}
 		times = append(times, ts)
 		utils = append(utils, u)

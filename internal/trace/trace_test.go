@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -86,6 +88,9 @@ func TestValidate(t *testing.T) {
 		{StepMS: 1000},
 		{StepMS: 1000, Util: []float64{1.5}},
 		{StepMS: 1000, Util: []float64{-0.1}},
+		{StepMS: 1000, Util: []float64{math.NaN()}},
+		{StepMS: math.NaN(), Util: []float64{0.5}},
+		{StepMS: math.Inf(1), Util: []float64{0.5}},
 	}
 	for i, tr := range bad {
 		if tr.Validate() == nil {
@@ -123,10 +128,40 @@ func TestLoadErrors(t *testing.T) {
 		"range":       "0,0.5\n300,1.7\n",
 		"descending":  "300,0.5\n0,0.6\n",
 		"uneven step": "0,0.1\n300,0.2\n500,0.3\n",
+		// ParseFloat accepts these; no range check catches them.
+		"nan util":      "0,NaN\n300,0.6\n",
+		"nan ts":        "NaN,0.5\n300,0.6\n",
+		"late nan ts":   "0,0.5\n300,0.6\nNaN,0.7\n",
+		"inf ts":        "0,0.5\nInf,0.6\n",
+		"neg inf ts":    "-Inf,0.5\n0,0.6\n",
+		"inf util":      "0,0.5\n300,+Inf\n",
+		"step overflow": "-1.7e308,0.5\n1.7e308,0.6\n",
 	}
 	for name, src := range cases {
 		if _, err := Load(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+}
+
+// FuzzLoad checks that Load never panics and that every trace it
+// accepts validates, with a finite step and finite samples.
+func FuzzLoad(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src []byte) {
+		tr, err := Load(bytes.NewReader(src))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("accepted trace fails Validate: %v", err)
+		}
+		if math.IsNaN(tr.StepMS) || math.IsInf(tr.StepMS, 0) {
+			t.Fatalf("accepted trace has step %v", tr.StepMS)
+		}
+		for i, u := range tr.Util {
+			if math.IsNaN(u) || math.IsInf(u, 0) {
+				t.Fatalf("accepted trace has sample %d = %v", i, u)
+			}
+		}
+	})
 }
