@@ -692,7 +692,7 @@ func (f *FPGADevice) drain() {
 		// head task instead of reconfiguring forever.
 		aborted := f.fault != nil && f.fault.ReconfigAborts(f.name, t.ImplID, f.sim.Now())
 		if aborted && f.abortStreak >= 2 {
-			f.queue = f.queue[1:]
+			f.popHead()
 			f.abortStreak = 0
 			f.failTask(t)
 			f.drain()
@@ -720,7 +720,7 @@ func (f *FPGADevice) drain() {
 		f.sim.AtCall(f.nextInit, fireFPGADrain, f)
 		return
 	}
-	f.queue = f.queue[1:]
+	f.popHead()
 	noise := f.noise
 	if s := f.execScale(t.ImplID); s != 1 {
 		noise *= s
@@ -747,6 +747,15 @@ func (f *FPGADevice) drain() {
 	} else {
 		f.draining = false
 	}
+}
+
+// popHead removes the queue's head in place. Re-slicing from index 1
+// would walk the slice's start through its storage, so nearly every later
+// Submit would have to grow it again.
+func (f *FPGADevice) popHead() {
+	n := copy(f.queue, f.queue[1:])
+	f.queue[n] = nil
+	f.queue = f.queue[:n]
 }
 
 func fireFPGADrain(_ sim.Time, a any) { a.(*FPGADevice).drain() }

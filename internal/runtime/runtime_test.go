@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"testing"
 
 	"poly/internal/analysis"
@@ -165,6 +166,59 @@ func TestWorkloadGenerators(t *testing.T) {
 	}
 	if NewWorkload(2).InjectRate(sv3, func(sim.Time) float64 { return 1 }, 0, 100) != 0 {
 		t.Fatal("zero duration must inject nothing")
+	}
+}
+
+// boundedTarget counts injections and panics past a million, so an
+// injector that cannot advance its clock fails the test instead of
+// hanging it.
+type boundedTarget struct{ n int }
+
+func (b *boundedTarget) Inject(sim.Time) {
+	if b.n++; b.n > 1_000_000 {
+		panic("injector does not terminate")
+	}
+}
+
+func TestInjectDegenerateRates(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name   string
+		inject func(w *Workload, tgt ArrivalTarget) int
+	}{
+		{"poisson +Inf", func(w *Workload, tgt ArrivalTarget) int { return w.InjectPoisson(tgt, inf, 0, 1000) }},
+		{"poisson NaN", func(w *Workload, tgt ArrivalTarget) int { return w.InjectPoisson(tgt, nan, 0, 1000) }},
+		{"poisson -Inf", func(w *Workload, tgt ArrivalTarget) int { return w.InjectPoisson(tgt, -inf, 0, 1000) }},
+		{"poisson 1e20", func(w *Workload, tgt ArrivalTarget) int { return w.InjectPoisson(tgt, 1e20, 0, 1000) }},
+		{"constant +Inf", func(w *Workload, tgt ArrivalTarget) int { return w.InjectConstant(tgt, inf, 0, 1000) }},
+		{"constant NaN", func(w *Workload, tgt ArrivalTarget) int { return w.InjectConstant(tgt, nan, 0, 1000) }},
+		{"constant 1e20", func(w *Workload, tgt ArrivalTarget) int { return w.InjectConstant(tgt, 1e20, 0, 1000) }},
+		{"rate +Inf", func(w *Workload, tgt ArrivalTarget) int {
+			return w.InjectRate(tgt, func(sim.Time) float64 { return inf }, 1000, 100)
+		}},
+		{"rate sub-ulp step", func(w *Workload, tgt ArrivalTarget) int {
+			// Steps this short inject nothing, so the rate function
+			// counts the steps instead of the target.
+			steps := 0
+			return w.InjectRate(tgt, func(sim.Time) float64 {
+				if steps++; steps > 1_000_000 {
+					panic("InjectRate does not terminate")
+				}
+				return 10
+			}, 1e6, 1e-12)
+		}},
+	}
+	for _, c := range cases {
+		tgt := &boundedTarget{}
+		if n := c.inject(NewWorkload(1), tgt); n != 0 || tgt.n != 0 {
+			t.Errorf("%s: injected %d (target saw %d), want 0", c.name, n, tgt.n)
+		}
+	}
+	// The guard must not touch a finite rate's draw sequence: a rate
+	// far above any in use still injects exactly what its gaps give.
+	tgt := &boundedTarget{}
+	if n := NewWorkload(1).InjectConstant(tgt, 1e5, 0, 1000); n != tgt.n || n < 99_990 || n > 100_000 {
+		t.Fatalf("constant 1e5 RPS × 1 s injected %d (target saw %d)", n, tgt.n)
 	}
 }
 

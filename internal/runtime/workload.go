@@ -35,10 +35,10 @@ func NewWorkload(seed int64) *Workload {
 // arrivals. Poisson arrivals are the standard open-loop model for
 // interactive services (Treadmill [38]).
 func (w *Workload) InjectPoisson(tgt ArrivalTarget, rps float64, start, durationMS sim.Time) int {
-	if rps <= 0 || durationMS <= 0 {
+	meanGapMS := 1000 / rps
+	if durationMS <= 0 || !advances(start+durationMS, sim.Time(meanGapMS)) {
 		return 0
 	}
-	meanGapMS := 1000 / rps
 	n := 0
 	for t := start + sim.Time(w.rng.Exp(meanGapMS)); t < start+durationMS; t += sim.Time(w.rng.Exp(meanGapMS)) {
 		tgt.Inject(t)
@@ -50,10 +50,10 @@ func (w *Workload) InjectPoisson(tgt ArrivalTarget, rps float64, start, duration
 // InjectConstant injects arrivals at a fixed interval (the motivation
 // study's "requests ... sent in a constant interval").
 func (w *Workload) InjectConstant(tgt ArrivalTarget, rps float64, start, durationMS sim.Time) int {
-	if rps <= 0 || durationMS <= 0 {
+	gap := sim.Time(1000 / rps)
+	if durationMS <= 0 || !advances(start+durationMS, gap) {
 		return 0
 	}
-	gap := sim.Time(1000 / rps)
 	n := 0
 	for t := start + gap; t < start+durationMS; t += gap {
 		tgt.Inject(t)
@@ -66,7 +66,7 @@ func (w *Workload) InjectConstant(tgt ArrivalTarget, rps float64, start, duratio
 // rate(t) gives RPS for each stepMS-wide interval — the trace-replay
 // driver of Section VI-C.
 func (w *Workload) InjectRate(tgt ArrivalTarget, rate func(t sim.Time) float64, durationMS, stepMS sim.Time) int {
-	if stepMS <= 0 || durationMS <= 0 {
+	if !(stepMS > 0) || durationMS <= 0 || durationMS+stepMS == durationMS {
 		return 0
 	}
 	n := 0
@@ -74,6 +74,15 @@ func (w *Workload) InjectRate(tgt ArrivalTarget, rate func(t sim.Time) float64, 
 		n += w.InjectPoisson(tgt, rate(t), t, min(stepMS, durationMS-t))
 	}
 	return n
+}
+
+// advances reports whether an injection loop stepping by gap (a mean gap
+// for Poisson arrivals) reaches a window ending at end. A NaN, infinite or
+// non-positive rate gives a gap that is NaN, 0, ±Inf or negative; a rate
+// so high that end+gap == end gives a gap below the clock's resolution.
+// Either way the loop would inject forever without moving the clock.
+func advances(end, gap sim.Time) bool {
+	return gap > 0 && !math.IsInf(float64(gap), 1) && end+gap != end
 }
 
 // Bench is a prebuilt (node architecture, planner) pairing for one

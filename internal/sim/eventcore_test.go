@@ -8,7 +8,7 @@ import (
 
 // ---------------------------------------------------------------------------
 // Reference oracle: a verbatim container/heap event queue with one
-// allocation per event. The value heap must fire the exact same
+// allocation per event. The run-plus-heap core must fire the exact same
 // callbacks in the exact same order.
 // ---------------------------------------------------------------------------
 
@@ -101,7 +101,10 @@ func (s *oracleSim) RunUntilBarrier(deadline Time, mark uint64) {
 // time and schedules children, sometimes in the past (exercising the
 // clamp). Times are offsets from the clock on a 10 ms grid, so
 // same-instant ties, and barriers exactly on an event's instant, are
-// common.
+// common. A monotone burst schedules a strictly increasing stream far
+// ahead, the way an injector pre-draws arrivals, so the in-order run
+// grows deep, ties between its head and the heap's root are common, and
+// it drains, resets and compacts under the dynamic ops.
 // ---------------------------------------------------------------------------
 
 const (
@@ -111,13 +114,15 @@ const (
 	opStep            // Step once
 	opMark            // snapshot SeqMark, as the fleet drain does at run start
 	opBarrier         // RunUntilBarrier(now+at, last mark)
+	opBurst           // schedule children leaves at now+at+i*stride
 )
 
 type scriptOp struct {
 	kind     int
 	at       Time // schedule time / deadline, as an offset from now
-	children int  // events the callback schedules, at now+deltas[i]
+	children int  // events the callback schedules, at now+deltas[i]; burst length
 	deltas   [3]Time
+	stride   Time // burst spacing
 }
 
 // gridTime maps u in [0, 1) onto the 10 ms grid over [lo, hi).
@@ -131,6 +136,11 @@ func genScript(next func() float64, n int) []scriptOp {
 	for i := 0; i < n; i++ {
 		var op scriptOp
 		switch r := next(); {
+		case r < 0.05:
+			op.kind = opBurst
+			op.at = gridTime(next(), 200, 600)
+			op.children = 1 + int(next()*48)
+			op.stride = 10 + gridTime(next(), 0, 30)
 		case r < 0.55:
 			op.kind = opSchedule
 			// Negative offsets exercise the past-clamp path.
@@ -200,6 +210,13 @@ func (d *coreDriver) apply(op scriptOp) {
 		d.log = append(d.log, fmt.Sprintf("mark=%d", d.mark))
 	case opBarrier:
 		d.barrier(d.now()+op.at, d.mark)
+	case opBurst:
+		base := d.now() + op.at
+		for i := 0; i < op.children; i++ {
+			id := d.nextID
+			d.nextID++
+			d.schedule(base+Time(i)*op.stride, func() { d.fire(id, scriptOp{}) })
+		}
 	}
 }
 
@@ -309,6 +326,47 @@ func TestArenaAtCallMatchesAt(t *testing.T) {
 	}
 }
 
+func TestMonotoneStreamBypassesHeap(t *testing.T) {
+	// An in-order stream, with ties, must land in the run, not the heap:
+	// this is how pre-drawn arrivals stay out of the heap.
+	const n = 5000
+	s := New()
+	fn := func(Time, any) {}
+	for i := 0; i < n; i++ {
+		s.AtCall(Time(i/3), fn, nil)
+	}
+	if len(s.heap) != 0 || s.Pending() != n {
+		t.Fatalf("monotone stream: heap holds %d, pending %d; want 0 and %d", len(s.heap), s.Pending(), n)
+	}
+	// A stream that keeps topping itself up at the tail while it fires
+	// must settle into compacting in place rather than grow without
+	// bound: it grows until it holds about twice its live events, then
+	// stops.
+	top := func(from int) {
+		for i := from; i < from+20*n; i++ {
+			s.Step()
+			s.AtCall(Time(n+i), fn, nil)
+		}
+	}
+	top(0)
+	limit := cap(s.run)
+	top(20 * n)
+	if len(s.heap) != 0 || s.Pending() != n || cap(s.run) != limit || limit > 4*n {
+		t.Fatalf("topped-up stream: heap %d, pending %d, cap %d (was %d); want 0, %d, unchanged and ≤ %d",
+			len(s.heap), s.Pending(), cap(s.run), limit, n, 4*n)
+	}
+	// Fired and vacated slots hold no references for the GC.
+	for i, e := range s.run[:cap(s.run)] {
+		if (i < s.head || i >= len(s.run)) && e.fn != nil {
+			t.Fatalf("slot %d outside run[%d:%d] still holds its callback", i, s.head, len(s.run))
+		}
+	}
+	s.Run()
+	if s.Pending() != 0 || len(s.run) != 0 || s.head != 0 {
+		t.Fatalf("drained run: pending %d, len %d, head %d", s.Pending(), len(s.run), s.head)
+	}
+}
+
 func BenchmarkScheduleFire(b *testing.B) {
 	s := New()
 	var sink int
@@ -323,7 +381,9 @@ func BenchmarkScheduleFire(b *testing.B) {
 }
 
 // BenchmarkStepDeep measures one Step plus one reschedule with 6,000
-// events pending, node-steady's median queue depth.
+// events pending in random time order, so nearly all of them sit in the
+// heap. A serving run's pre-drawn arrivals no longer reach the heap
+// (BenchmarkStepArrivals).
 func BenchmarkStepDeep(b *testing.B) {
 	const depth = 6000
 	s := New()
@@ -341,5 +401,42 @@ func BenchmarkStepDeep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Step()
 		s.AfterCall(delays[i%len(delays)], fn, nil)
+	}
+}
+
+// BenchmarkStepArrivals measures one Step behind 12,000 pending in-order
+// arrivals, the shape of a node-steady run: the whole arrival stream is
+// drawn up front, and each arrival schedules a dynamic follow-up a short,
+// random delay ahead. Each fired arrival appends one more at the stream's
+// tail, so the depth holds for any b.N.
+func BenchmarkStepArrivals(b *testing.B) {
+	const (
+		depth = 12000
+		gap   = 2 // ms between arrivals
+	)
+	s := New()
+	rng := NewRNG(1)
+	var delays [1024]Duration
+	for i := range delays {
+		delays[i] = Duration(rng.Exp(10))
+	}
+	var tail Time
+	var k int
+	follow := func(Time, any) {}
+	var arrive func(Time, any)
+	arrive = func(now Time, _ any) {
+		tail += gap
+		s.AtCall(tail, arrive, nil)
+		s.AtCall(now+delays[k%len(delays)], follow, nil)
+		k++
+	}
+	for i := 0; i < depth; i++ {
+		tail += gap
+		s.AtCall(tail, arrive, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }

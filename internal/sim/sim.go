@@ -6,10 +6,21 @@
 // for a fixed seed and schedule. Time is measured in milliseconds, the
 // natural unit of the paper's latency bounds (e.g. a 200 ms p99 target).
 //
-// Pending events are kept by value in a flat 4-ary heap, so scheduling
-// allocates nothing once the heap has grown. A scheduled event cannot be
-// cancelled: an owner whose event may go stale carries its own
-// generation and ignores the event when it fires.
+// Pending events are kept by value in two sources, so scheduling
+// allocates nothing once they have grown: a FIFO run of events already
+// sorted by (time, seq), and a flat 4-ary heap for everything else. An
+// event joins the run when the run is empty or the event's time is at or
+// after the run's tail; otherwise it goes on the heap. A serving run
+// draws its whole arrival stream up front in time order, so thousands of
+// pre-drawn arrivals sit in the run and pop in O(1), while the heap holds
+// only the few events the run itself schedules. Every event keeps the seq
+// AtCall gave it, and an event appended to the run has a time at or after
+// the tail's and a larger seq, so the run stays sorted; Step fires the
+// smaller of the run's head and the heap's root by the same (time, seq)
+// order. The firing order is therefore exactly that of a single heap.
+//
+// A scheduled event cannot be cancelled: an owner whose event may go
+// stale carries its own generation and ignores the event when it fires.
 package sim
 
 import "fmt"
@@ -34,9 +45,13 @@ type event struct {
 // Simulator is a single-threaded discrete-event simulator. The zero value
 // is not usable; construct with New.
 type Simulator struct {
-	now   Time
-	seq   uint64
-	heap  []event
+	now  Time
+	seq  uint64
+	heap []event
+	// run[head:] are the pending in-order events; run[:head] are fired
+	// slots, already zeroed.
+	run   []event
+	head  int
 	fired uint64
 }
 
@@ -50,7 +65,7 @@ func (s *Simulator) Now() Time { return s.now }
 func (s *Simulator) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still scheduled.
-func (s *Simulator) Pending() int { return len(s.heap) }
+func (s *Simulator) Pending() int { return len(s.heap) + len(s.run) - s.head }
 
 // AtCall schedules fn(firingTime, arg) at absolute time at. Scheduling in
 // the past (before Now) clamps to Now: the event fires next, without
@@ -61,8 +76,22 @@ func (s *Simulator) AtCall(at Time, fn func(Time, any), arg any) {
 	if at < s.now {
 		at = s.now
 	}
-	s.heap = append(s.heap, event{at: at, seq: s.seq, fn: fn, arg: arg})
+	e := event{at: at, seq: s.seq, fn: fn, arg: arg}
 	s.seq++
+	if n := len(s.run); n == 0 || at >= s.run[n-1].at {
+		if n == cap(s.run) && 2*s.head >= n {
+			// Full with at least half of it fired: slide the pending
+			// events down instead of growing, so the copy is paid for by
+			// the pops that freed the space.
+			m := copy(s.run, s.run[s.head:])
+			clear(s.run[m:])
+			s.run = s.run[:m]
+			s.head = 0
+		}
+		s.run = append(s.run, e)
+		return
+	}
+	s.heap = append(s.heap, e)
 	s.siftUp(len(s.heap) - 1)
 }
 
@@ -87,16 +116,27 @@ func runAction(_ Time, a any) { a.(func())() }
 // Step fires the single earliest event, advancing the clock to it. It
 // returns false if the queue is empty.
 func (s *Simulator) Step() bool {
-	n := len(s.heap) - 1
-	if n < 0 {
-		return false
-	}
-	e := s.heap[0]
-	s.heap[0] = s.heap[n]
-	s.heap[n] = event{} // drop the vacated slot's references for the GC
-	s.heap = s.heap[:n]
-	if n > 1 {
-		s.siftDown(0)
+	var e event
+	if s.runFirst() {
+		e = s.run[s.head]
+		s.run[s.head] = event{} // drop the fired slot's references for the GC
+		s.head++
+		if s.head == len(s.run) {
+			s.run = s.run[:0]
+			s.head = 0
+		}
+	} else {
+		n := len(s.heap) - 1
+		if n < 0 {
+			return false
+		}
+		e = s.heap[0]
+		s.heap[0] = s.heap[n]
+		s.heap[n] = event{} // drop the vacated slot's references for the GC
+		s.heap = s.heap[:n]
+		if n > 1 {
+			s.siftDown(0)
+		}
 	}
 	s.now = e.at
 	s.fired++
@@ -114,7 +154,7 @@ func (s *Simulator) Run() {
 // clock to deadline (if it is ahead of the last event). Events scheduled
 // after deadline remain queued.
 func (s *Simulator) RunUntil(deadline Time) {
-	for len(s.heap) > 0 && s.heap[0].at <= deadline {
+	for e := s.next(); e != nil && e.at <= deadline; e = s.next() {
 		s.Step()
 	}
 	if s.now < deadline {
@@ -140,8 +180,7 @@ func (s *Simulator) SeqMark() uint64 { return s.seq }
 // routing decision) has run. Events at the deadline with seq >= mark
 // stay queued and fire on the next advance past the deadline.
 func (s *Simulator) RunUntilBarrier(deadline Time, mark uint64) {
-	for len(s.heap) > 0 {
-		e := &s.heap[0]
+	for e := s.next(); e != nil; e = s.next() {
 		if e.at > deadline || (e.at == deadline && e.seq >= mark) {
 			break
 		}
@@ -150,6 +189,23 @@ func (s *Simulator) RunUntilBarrier(deadline Time, mark uint64) {
 	if s.now < deadline {
 		s.now = deadline
 	}
+}
+
+// runFirst reports whether the earliest pending event is the run's head
+// rather than the heap's root.
+func (s *Simulator) runFirst() bool {
+	return s.head < len(s.run) && (len(s.heap) == 0 || less(&s.run[s.head], &s.heap[0]))
+}
+
+// next returns the event Step would fire next, or nil if none is pending.
+func (s *Simulator) next() *event {
+	if s.runFirst() {
+		return &s.run[s.head]
+	}
+	if len(s.heap) == 0 {
+		return nil
+	}
+	return &s.heap[0]
 }
 
 // less orders pending events by (time, sequence number): strict FIFO
@@ -162,8 +218,8 @@ func less(a, b *event) bool {
 }
 
 // The heap is 4-ary: children of i are 4i+1..4i+4. Wider nodes mean a
-// shallower tree — fewer cache-missing levels per sift for the large
-// queues a loaded serving simulation builds up.
+// shallower tree — fewer cache-missing levels per sift when many
+// out-of-order events are pending (BenchmarkStepDeep).
 
 func (s *Simulator) siftUp(i int) {
 	h := s.heap
