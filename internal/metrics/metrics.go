@@ -3,10 +3,7 @@
 // efficiency of Section VI-E.
 package metrics
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PowerCurve is a system's measured power draw as a function of load
 // (fraction of maximum QoS-compliant throughput, in [0, 1]).
@@ -79,26 +76,6 @@ func EnergyProportionality(c PowerCurve) (float64, error) {
 	actual := trapezoid(loads, powers)
 	ideal := peak / 2 // ∫0..1 peak·l dl
 	return 1 - (actual-ideal)/ideal, nil
-}
-
-// Percentile returns the nearest-rank percentile of values (0–100).
-func Percentile(values []float64, p float64) float64 {
-	if len(values) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), values...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(float64(len(sorted)) * p / 100)
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // TCOParams is the monthly total-cost-of-ownership model of [57] with the

@@ -110,23 +110,6 @@ func TestPowerCurveValidation(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	vals := []float64{5, 1, 3, 2, 4}
-	if Percentile(vals, 0) != 1 || Percentile(vals, 100) != 5 {
-		t.Fatal("percentile endpoints wrong")
-	}
-	if Percentile(vals, 50) != 3 {
-		t.Fatalf("median = %v", Percentile(vals, 50))
-	}
-	if Percentile(nil, 50) != 0 {
-		t.Fatal("empty percentile must be 0")
-	}
-	// Input must not be mutated.
-	if vals[0] != 5 {
-		t.Fatal("Percentile mutated its input")
-	}
-}
-
 func TestTCOModel(t *testing.T) {
 	p := DefaultTCO(20999, 500, 300)
 	tco, err := p.MonthlyUSD()

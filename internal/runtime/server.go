@@ -13,6 +13,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -370,7 +371,10 @@ func (sv *Server) InFlight() int { return sv.inFlight }
 // board order. The returned slice is scratch reused across admits.
 func (sv *Server) deviceStates() []sched.DeviceState {
 	now := sv.sim.Now()
-	out := sv.devScratch[:0]
+	// Each board's state is written into its scratch slot field by field,
+	// every exported field each time: the slot may hold another board's
+	// state from an earlier call.
+	out := slices.Grow(sv.devScratch[:0], len(sv.boards))
 	for i := range sv.boards {
 		b := &sv.boards[i]
 		// Down boards leave the EST tables entirely; suspect boards carry
@@ -379,21 +383,25 @@ func (sv *Server) deviceStates() []sched.DeviceState {
 		if b.health.state == healthDown {
 			continue
 		}
-		ds := sched.DeviceState{Name: b.name, FreqScale: 1}
+		out = out[:len(out)+1]
+		ds := &out[len(out)-1]
+		ds.Name = b.name
 		if g := b.gpu; g != nil {
 			ds.Class = device.GPU
 			ds.FreeAtMS = float64(g.NextFreeAt() - now)
+			ds.LoadedImpl = ""
+			ds.ReconfigMS = 0
 			ds.FreqScale = g.FreqScale()
 		} else {
 			ds.Class = device.FPGA
 			ds.FreeAtMS = float64(b.fpga.NextFreeAt() - now)
 			ds.LoadedImpl = b.residency()
 			ds.ReconfigMS = sv.node.Plan.Setting.FPGA.ReconfigMS
+			ds.FreqScale = 1
 		}
 		if b.health.state == healthSuspect {
 			ds.FreeAtMS += suspectPenaltyMS
 		}
-		out = append(out, ds)
 	}
 	sv.devScratch = out
 	return out
@@ -738,19 +746,19 @@ func (r *request) submit(ki int32) {
 	} else {
 		sv.fpgaTasks++
 	}
+	// Pooled tasks come back zeroed (releaseTask), so filling the fields
+	// in place builds the task without copying a whole literal.
 	t := sv.tasks.get()
-	*t = device.Task{
-		Kernel:         a.Kernel,
-		ImplID:         a.Impl.ID,
-		LatencyMS:      a.Impl.LatencyMS,
-		IntervalMS:     a.Impl.IntervalMS,
-		Batch:          a.Impl.Config.Batch,
-		PowerW:         a.Impl.PowerW,
-		Owner:          r,
-		Device:         a.Device,
-		KernelIdx:      ki,
-		PredictedEndMS: a.EndMS,
-	}
+	t.Kernel = a.Kernel
+	t.ImplID = a.Impl.ID
+	t.LatencyMS = a.Impl.LatencyMS
+	t.IntervalMS = a.Impl.IntervalMS
+	t.Batch = a.Impl.Config.Batch
+	t.PowerW = a.Impl.PowerW
+	t.Owner = r
+	t.Device = a.Device
+	t.KernelIdx = ki
+	t.PredictedEndMS = a.EndMS
 	if r.span != nil {
 		r.ks[ki] = r.span.AddKernel(a.Kernel, a.Device, sched.ImplID(a.Impl), float64(sv.sim.Now()))
 	}

@@ -59,11 +59,14 @@ func BenchmarkScheduleUncached(b *testing.B) {
 
 // BenchmarkScheduleChurn drives the planner with a device state that never
 // repeats (worst case for the cache): every iteration is a miss, so this
-// bounds the overhead the cache layer adds to cold planning.
+// bounds the overhead the cache layer adds to cold planning. It reports
+// the Step 1.5/2 trials per plan and the kernels they replayed, which are
+// exact counts that runner noise cannot move.
 func BenchmarkScheduleChurn(b *testing.B) {
 	s, _, _ := buildSched(b)
 	s.SetLoadHint(40)
 	devs := steadyDevices(s)
+	trials0, kernels0 := s.TrialStats()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -72,6 +75,9 @@ func BenchmarkScheduleChurn(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	trials, kernels := s.TrialStats()
+	b.ReportMetric(float64(trials-trials0)/float64(b.N), "trials/plan")
+	b.ReportMetric(float64(kernels-kernels0)/float64(b.N), "trialKernels/plan")
 }
 
 var _ = device.GPU

@@ -275,6 +275,17 @@ func (t *residencies) resolve(devices []DeviceState) {
 	}
 }
 
+// copyResolved copies devices into dst's storage with each position's
+// resolved implementation from the last resolve in loaded, and returns
+// it: the planners' working view of the caller's devices.
+func (t *residencies) copyResolved(dst, devices []DeviceState) []DeviceState {
+	dst = append(dst[:0], devices...)
+	for i := range dst {
+		dst[i].loaded = t.res[i].impl
+	}
+	return dst
+}
+
 // appendPlanKeyDevices appends the exact device-state signature to b.
 // res[i] is device i's resolved residency, whose code the planner interns
 // one-to-one with LoadedImpl. Names are NUL-terminated (device

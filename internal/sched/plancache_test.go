@@ -423,8 +423,9 @@ func TestImplIDsInterned(t *testing.T) {
 	}
 	// The scheduler's identity index must round-trip every frontier impl
 	// to the same pointer: commit keeps a board's resolved residency as
-	// the placed impl itself, which matches resolving its ID only if IDs
-	// are unique across the design spaces.
+	// the placed impl itself, and availableAt and sameImpl compare that
+	// pointer, which matches comparing IDs only if IDs are unique across
+	// the design spaces.
 	for _, k := range prog.Kernels() {
 		for _, class := range []device.Class{device.GPU, device.FPGA} {
 			if sp := ks.Space(k.Name, class); sp != nil {

@@ -36,7 +36,9 @@ import (
 
 // DeviceState is the scheduler's view of one accelerator at planning time.
 type DeviceState struct {
-	// Name identifies the board within the node.
+	// Name identifies the board within the node; names in one call's
+	// device slice must be distinct. The planners address boards by their
+	// position in that slice and publish only the name.
 	Name string
 	// Class is GPU or FPGA.
 	Class device.Class
@@ -56,17 +58,19 @@ type DeviceState struct {
 	// start before it (no cross-bitstream pipelining, no cross-kernel
 	// batching); the same implementation may share from FreeAtMS.
 	lastEndMS float64
-	// loaded is planner-internal: LoadedImpl resolved to the scheduler's
+	// loaded is planner-internal: LoadedImpl resolved to the planner's
 	// implementation (nil when blank or outside its design spaces). It is
-	// resolved once per Schedule call and kept in step with LoadedImpl by
-	// commit, so the planning loops never hash an ID.
+	// resolved once per call, and commit moves it to each implementation
+	// the plan books, so the planning loops never compare an ID.
 	loaded *model.Impl
 }
 
-// availableAt returns when a task of the given implementation could start
-// on the device, given what this plan already booked.
-func (d *DeviceState) availableAt(implID string) float64 {
-	if implID == d.LoadedImpl {
+// availableAt returns when a task of implementation im could start on the
+// device, given what this plan already booked: the resident
+// implementation may share the board from FreeAtMS, any other waits for
+// the plan's last booking there too.
+func (d *DeviceState) availableAt(im *model.Impl) float64 {
+	if d.sameImpl(im) {
 		return d.FreeAtMS
 	}
 	if d.lastEndMS > d.FreeAtMS {
@@ -75,10 +79,12 @@ func (d *DeviceState) availableAt(implID string) float64 {
 	return d.FreeAtMS
 }
 
-// sameImpl reports whether im is the device's resident implementation,
-// comparing interned IDs without rendering anything.
+// sameImpl reports whether im is the device's resident implementation. It
+// compares the resolved residency, not ID strings: a planner interns every
+// implementation it places, so the resident ID resolves to im exactly when
+// it is im's ID.
 func (d *DeviceState) sameImpl(im *model.Impl) bool {
-	return d.LoadedImpl != "" && d.LoadedImpl == ImplID(im)
+	return d.loaded != nil && d.loaded == im
 }
 
 func (d *DeviceState) freq() float64 {
@@ -312,10 +318,14 @@ type Scheduler struct {
 	// reused across Schedule calls so steady serving allocates nothing
 	// for device bookkeeping.
 	scratchBase, scratchWork []DeviceState
-	// resimDevs is resimulate's reusable device scratch; swapsBuf backs
-	// rankedSwaps' candidate list.
-	resimDevs []DeviceState
-	swapsBuf  []rankedSwap
+	// ckpt holds the current placement's checkpoints, one device vector
+	// per position of orderIdx (see checkpoint); trialDevs is a trial's
+	// device scratch, and swapsBuf backs rankedSwaps' candidate list.
+	ckpt, trialDevs []DeviceState
+	swapsBuf        []rankedSwap
+	// trials counts Step 1.5/2 trials and trialKernels the kernels they
+	// replayed (see TrialStats).
+	trials, trialKernels int
 
 	// knames/kidx intern the program's kernel names to dense indices in
 	// declaration order; orderIdx is the W_L-descending priority order
@@ -334,11 +344,24 @@ type Scheduler struct {
 	paretoGPU   [][]*model.Impl
 	paretoFPGA  [][]*model.Impl
 	gpuCandsIdx [][]*model.Impl
-	// states are the current/trial/best placement slabs the two-step
-	// planner double-buffers between; emptySlab is a permanently
-	// unplaced slab for single-kernel placement (PlaceKernel).
-	states    [3]planState
-	emptySlab []Assignment
+	// swapTab is Step 2's flat candidate table, indexed [kernel][class]:
+	// each kernel's frontier on that class with the fields rankedSwaps
+	// reads held by value.
+	swapTab [][2][]swapImpl
+	// states are the current/trial/best placements the two-step planner
+	// double-buffers between; empty is a permanently unplaced placement
+	// for single-kernel placement (PlaceKernel).
+	states [3]planState
+	empty  planState
+}
+
+// swapImpl is one swap-table entry: a frontier implementation and the
+// values Step 2 ranks it by.
+type swapImpl struct {
+	impl      *model.Impl
+	latencyMS float64
+	powerW    float64
+	batch     int
 }
 
 // predEdge is one interned predecessor edge.
@@ -348,11 +371,13 @@ type predEdge struct {
 }
 
 // planState is one in-progress placement: a flat per-kernel-index slab of
-// assignment values (Impl == nil while unplaced) plus the running totals.
+// assignment values (Impl == nil while unplaced), each placed kernel's
+// device position in the call's device slice, and the running totals.
 // The planner owns three and double-buffers trial placements between
 // them, so repair and energy rounds allocate nothing.
 type planState struct {
 	slab       []Assignment
+	pos        []int32
 	makespanMS float64
 	energyMJ   float64
 }
@@ -360,17 +385,19 @@ type planState struct {
 func (st *planState) reset(nk int) {
 	if cap(st.slab) < nk {
 		st.slab = make([]Assignment, nk)
+		st.pos = make([]int32, nk)
 	} else {
 		st.slab = st.slab[:nk]
-		for i := range st.slab {
-			st.slab[i] = Assignment{}
-		}
+		st.pos = st.pos[:nk]
+		clear(st.slab)
+		clear(st.pos)
 	}
 	st.makespanMS, st.energyMJ = 0, 0
 }
 
 func (st *planState) copyFrom(src *planState) {
 	st.slab = append(st.slab[:0], src.slab...)
+	st.pos = append(st.pos[:0], src.pos...)
 	st.makespanMS, st.energyMJ = src.makespanMS, src.energyMJ
 }
 
@@ -428,6 +455,7 @@ func (s *Scheduler) buildIndex() {
 	s.paretoGPU = make([][]*model.Impl, nk)
 	s.paretoFPGA = make([][]*model.Impl, nk)
 	s.gpuCandsIdx = make([][]*model.Impl, nk)
+	s.swapTab = make([][2][]swapImpl, nk)
 	for i, name := range s.knames {
 		if sp := s.spaces.Space(name, device.GPU); sp != nil {
 			s.paretoGPU[i] = sp.Pareto
@@ -436,8 +464,14 @@ func (s *Scheduler) buildIndex() {
 			s.paretoFPGA[i] = sp.Pareto
 		}
 		s.gpuCandsIdx[i] = s.gpuCands[name]
+		for _, c := range [...]device.Class{device.GPU, device.FPGA} {
+			for _, im := range s.candidatesIdx(int32(i), c) {
+				s.swapTab[i][c] = append(s.swapTab[i][c],
+					swapImpl{impl: im, latencyMS: im.LatencyMS, powerW: im.PowerW, batch: im.Config.Batch})
+			}
+		}
 	}
-	s.emptySlab = make([]Assignment, nk)
+	s.empty.reset(nk)
 }
 
 // internKernels interns a program's kernels to dense indices in
@@ -583,11 +617,15 @@ func batchCap(im *model.Impl) float64 {
 // guaranteed floor — those requests submit at the same instant — so the
 // fill is at least min(batchN, cap) regardless of the load estimate.
 func (s *Scheduler) expectedFill(im *model.Impl) float64 {
-	b := im.Config.Batch
+	return s.fill(im.LatencyMS, im.Config.Batch)
+}
+
+// fill is expectedFill on an implementation's latency and batch capacity.
+func (s *Scheduler) fill(latencyMS float64, b int) float64 {
 	if b <= 1 {
 		return 1
 	}
-	fill := s.loadRPS * im.LatencyMS / 1000
+	fill := s.loadRPS * latencyMS / 1000
 	if g := float64(s.batchN); g > fill {
 		fill = g
 	}
@@ -671,12 +709,8 @@ func (s *Scheduler) ImplByID(id string) *model.Impl {
 // the base scratch with their resident implementations; planning never
 // mutates the caller's device view.
 func (s *Scheduler) baseCopy(devices []DeviceState) []DeviceState {
-	base := append(s.scratchBase[:0], devices...)
-	for i := range base {
-		base[i].loaded = s.resid.res[i].impl
-	}
-	s.scratchBase = base
-	return base
+	s.scratchBase = s.resid.copyResolved(s.scratchBase, devices)
+	return s.scratchBase
 }
 
 // PreferredFPGAImpl returns the implementation the runtime should keep
@@ -766,8 +800,8 @@ func (s *Scheduler) PlaceKernel(kernel string, devices []DeviceState) (*Assignme
 	if ok {
 		s.resid.resolve(devices)
 		base := s.baseCopy(devices)
-		found = s.findPlacement(ki, base, s.emptySlab, false, &out) ||
-			s.findPlacement(ki, base, s.emptySlab, true, &out)
+		found = s.findPlacement(ki, base, &s.empty, false, &out) >= 0 ||
+			s.findPlacement(ki, base, &s.empty, true, &out) >= 0
 	}
 	if !found {
 		return nil, fmt.Errorf("sched: kernel %q has no implementation on any available device", kernel)
@@ -813,7 +847,7 @@ func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan,
 
 	// Step 1 — latency optimization.
 	for _, ki := range s.orderIdx {
-		if err := s.placeEFT(ki, work, cur.slab); err != nil {
+		if err := s.placeEFT(ki, work, cur); err != nil {
 			return nil, err
 		}
 	}
@@ -833,13 +867,14 @@ func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan,
 
 // repairLatency iteratively moves kernels to the placement that most
 // reduces the planned makespan while it exceeds the bound. Each round
-// resimulates candidate moves into the trial slab and keeps the winner in
-// the best slab; nothing allocates.
+// replays candidate moves into the trial placement and keeps the winner
+// in best; nothing allocates.
 func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceState, boundMS float64) {
 	for round := 0; round < 16 && cur.makespanMS > boundMS; round++ {
+		s.checkpoint(cur, base)
 		bestFound := false
 		bestScore := math.Inf(1)
-		for _, ki := range s.orderIdx {
+		for p, ki := range s.orderIdx {
 			a := &cur.slab[ki]
 			if a.Impl == nil {
 				continue
@@ -868,12 +903,10 @@ func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceStat
 					continue // repair must not evict live bitstreams either
 				}
 				for _, im := range cands {
-					if im == a.Impl && d.Name == a.Device {
+					if im == a.Impl && int32(di) == cur.pos[ki] {
 						continue
 					}
-					if !s.resimulate(cur, trial, base, ki, swapCandidate{impl: im, device: d.Name}) {
-						continue
-					}
+					s.trial(cur, trial, p, swapCandidate{impl: im, dev: int32(di)}, math.Inf(1))
 					// Score repairs like placements: makespan plus the
 					// marginal occupancy the move leaves behind, so a
 					// batched variant is not beaten by a batch-1 variant
@@ -899,27 +932,31 @@ func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceStat
 // pass never evicts another kernel's live FPGA bitstream (evictions under
 // load cause reconfiguration storms); if no placement exists without an
 // eviction, a second pass allows it.
-func (s *Scheduler) placeEFT(ki int32, devices []DeviceState, slab []Assignment) error {
-	if !s.findPlacement(ki, devices, slab, false, &slab[ki]) &&
-		!s.findPlacement(ki, devices, slab, true, &slab[ki]) {
+func (s *Scheduler) placeEFT(ki int32, devices []DeviceState, st *planState) error {
+	di := s.findPlacement(ki, devices, st, false, &st.slab[ki])
+	if di < 0 {
+		di = s.findPlacement(ki, devices, st, true, &st.slab[ki])
+	}
+	if di < 0 {
 		return fmt.Errorf("sched: kernel %q has no implementation on any available device", s.knames[ki])
 	}
-	s.commit(&slab[ki], devices)
+	st.pos[ki] = di
+	commit(&st.slab[ki], &devices[di])
 	return nil
 }
 
-// findPlacement scores every (device, candidate) pair for one kernel and
-// writes the winner into out, returning false when no placement exists.
-func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assignment, allowEvict bool, out *Assignment) bool {
+// findPlacement scores every (device, candidate) pair for one kernel,
+// writes the winner into out and returns its device position, or -1 when
+// no placement exists.
+func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, st *planState, allowEvict bool, out *Assignment) int32 {
 	kernel := s.knames[ki]
 	// Track the best placement in locals and write the Assignment once at
 	// the end: the inner loop runs per (device, candidate) for every
 	// kernel of every request.
 	var (
-		found                bool
-		bestScore            = math.Inf(1)
+		bestDi               int32 = -1
+		bestScore                  = math.Inf(1)
 		bestImpl             *model.Impl
-		bestDev              string
 		bestEst, bestEnd     float64
 		bestExec, bestCommit float64
 	)
@@ -951,10 +988,10 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 		} else if evict && !allowEvict {
 			continue // never evict a live bitstream in the first pass
 		}
-		ready := s.estMS(ki, d, slab)
+		ready := s.estMS(ki, int32(di), st)
 		for _, im := range cands {
 			est := ready
-			if avail := d.availableAt(ImplID(im)); avail > est {
+			if avail := d.availableAt(im); avail > est {
 				est = avail
 			}
 			end := est + d.groupExecMS(im, s.batchN)
@@ -971,35 +1008,35 @@ func (s *Scheduler) findPlacement(ki int32, devices []DeviceState, slab []Assign
 			if evict {
 				score += d.ReconfigMS
 			}
-			if !found || score < bestScore {
-				found = true
+			if bestDi < 0 || score < bestScore {
+				bestDi = int32(di)
 				bestScore = score
-				bestImpl, bestDev = im, d.Name
+				bestImpl = im
 				bestEst, bestEnd = est, end
 				bestExec, bestCommit = im.LatencyMS/d.freq(), commit
 			}
 		}
 	}
-	if !found {
-		return false
+	if bestDi >= 0 {
+		*out = Assignment{Kernel: kernel, Impl: bestImpl, Device: devices[bestDi].Name,
+			StartMS: bestEst, EndMS: bestEnd, ExecMS: bestExec, CommitMS: bestCommit}
 	}
-	*out = Assignment{Kernel: kernel, Impl: bestImpl, Device: bestDev,
-		StartMS: bestEst, EndMS: bestEnd, ExecMS: bestExec, CommitMS: bestCommit}
-	return true
+	return bestDi
 }
 
 // estMS computes the predecessor-readiness part of EST(k_i, d_n)
-// (Eq. 4): finish times plus PCIe transfers when crossing boards. The
-// device-queue part is implementation-specific (availableAt).
-func (s *Scheduler) estMS(ki int32, d *DeviceState, slab []Assignment) float64 {
+// (Eq. 4) on the device at position di: finish times plus PCIe transfers
+// when crossing boards. The device-queue part is implementation-specific
+// (availableAt).
+func (s *Scheduler) estMS(ki, di int32, st *planState) float64 {
 	est := 0.0
 	for _, e := range s.predsIdx[ki] {
-		pa := &slab[e.from]
+		pa := &st.slab[e.from]
 		if pa.Impl == nil {
 			continue // unplaced predecessor: upward rank order prevents this
 		}
 		ready := pa.EndMS
-		if pa.Device != d.Name {
+		if st.pos[e.from] != di {
 			ready += e.transferMS
 		}
 		if ready > est {
@@ -1009,25 +1046,17 @@ func (s *Scheduler) estMS(ki int32, d *DeviceState, slab []Assignment) float64 {
 	return est
 }
 
-// commit books the assignment on its device, advancing the queue estimate
-// by the request's marginal occupancy.
-func (s *Scheduler) commit(a *Assignment, devices []DeviceState) {
-	for di := range devices {
-		d := &devices[di]
-		if d.Name != a.Device {
-			continue
-		}
-		free := a.StartMS + a.CommitMS
-		if free > d.FreeAtMS {
-			d.FreeAtMS = free
-		}
-		if a.EndMS > d.lastEndMS {
-			d.lastEndMS = a.EndMS
-		}
-		d.LoadedImpl = ImplID(a.Impl)
-		d.loaded = a.Impl
-		return
+// commit books the assignment on its device d, advancing the queue
+// estimate by the request's marginal occupancy.
+func commit(a *Assignment, d *DeviceState) {
+	free := a.StartMS + a.CommitMS
+	if free > d.FreeAtMS {
+		d.FreeAtMS = free
 	}
+	if a.EndMS > d.lastEndMS {
+		d.lastEndMS = a.EndMS
+	}
+	d.loaded = a.Impl
 }
 
 // tally recomputes a placement's makespan and energy totals. Sums run in
@@ -1062,6 +1091,7 @@ func (s *Scheduler) optimizeEnergy(cur, trial *planState, base []DeviceState, bo
 		return 0
 	}
 	swaps := 0
+	s.checkpoint(cur, base)
 	for round := 0; round < 64; round++ { // bound defends against cycling
 		ranked := s.rankedSwaps(cur, base, boundMS)
 		accepted := false
@@ -1070,11 +1100,14 @@ func (s *Scheduler) optimizeEnergy(cur, trial *planState, base []DeviceState, bo
 			effBound = cur.makespanMS // never tighter than Step 1 achieved
 		}
 		for _, sw := range ranked {
-			if !s.resimulate(cur, trial, base, sw.ki, sw.swapCandidate) ||
-				trial.makespanMS > effBound || trial.energyMJ >= cur.energyMJ {
+			// A completed trial is within effBound: the replayed kernels
+			// are, and the rest end by cur.makespanMS ≤ effBound.
+			if !s.trial(cur, trial, int(sw.p), sw.swapCandidate, effBound) ||
+				trial.energyMJ >= cur.energyMJ {
 				continue
 			}
 			cur.copyFrom(trial)
+			s.checkpoint(cur, base)
 			swaps++
 			accepted = true
 			break
@@ -1086,14 +1119,17 @@ func (s *Scheduler) optimizeEnergy(cur, trial *planState, base []DeviceState, bo
 	return swaps
 }
 
-// swapCandidate is a prospective replacement implementation.
+// swapCandidate is a prospective replacement: an implementation on the
+// board at position dev of the call's device slice.
 type swapCandidate struct {
-	impl   *model.Impl
-	device string
+	impl *model.Impl
+	dev  int32
 }
 
+// rankedSwap is one Step-2 candidate for the kernel at position p of
+// orderIdx.
 type rankedSwap struct {
-	ki     int32
+	p      int32
 	kernel string
 	we     float64
 	swapCandidate
@@ -1106,14 +1142,23 @@ type rankedSwap struct {
 // within one optimizeEnergy round and reused by the next call.
 func (s *Scheduler) rankedSwaps(st *planState, devices []DeviceState, boundMS float64) []rankedSwap {
 	out := s.swapsBuf[:0]
-	for _, ki := range s.orderIdx {
+	for p, ki := range s.orderIdx {
 		a := &st.slab[ki]
 		if a.Impl == nil {
 			continue
 		}
 		kernel := s.knames[ki]
-		cur := a.Impl
-		curT := a.ExecMS
+		cur, curT := a.Impl, a.ExecMS
+		curE := s.perRequestEnergyMJ(cur, curT)
+		// scans memoizes the last table scan per class. On a board that
+		// neither holds this kernel nor would evict another, the scan's
+		// result depends only on the class and the board's freq(), which
+		// is never 0: f == 0 marks a class not scanned yet.
+		var scans [2]struct {
+			f, we float64
+			impl  *model.Impl
+			found bool
+		}
 		for di := range devices {
 			d := &devices[di]
 			if d.FreeAtMS > 0.2*boundMS {
@@ -1122,39 +1167,34 @@ func (s *Scheduler) rankedSwaps(st *planState, devices []DeviceState, boundMS fl
 				// converts slack into queueing collapse.
 				continue
 			}
-			var candBuf [1]*model.Impl
-			cands := s.candidatesIdx(ki, d.Class)
+			if d.Class != device.GPU && d.Class != device.FPGA {
+				continue // no design space on other classes
+			}
+			var (
+				im    *model.Impl
+				we    float64
+				found bool
+			)
 			if res := resident(kernel, d); res != nil {
 				// Sticky: a board already serving this kernel offers
 				// only its resident bitstream.
-				candBuf[0] = res
-				cands = candBuf[:1]
+				one := [1]swapImpl{{impl: res, latencyMS: res.LatencyMS, powerW: res.PowerW, batch: res.Config.Batch}}
+				im, we, found = s.bestSwap(one[:], cur, curT, curE, d.freq())
 			} else if evicts(kernel, d) {
 				// Never evict another kernel's live bitstream just to
 				// save energy; blank boards are the swap targets.
 				continue
-			}
-			var best rankedSwap
-			found := false
-			for _, im := range cands {
-				if im == cur {
-					continue
+			} else {
+				sc := &scans[d.Class]
+				if f := d.freq(); sc.f != f {
+					sc.impl, sc.we, sc.found = s.bestSwap(s.swapTab[ki][d.Class], cur, curT, curE, f)
+					sc.f = f
 				}
-				newT := im.LatencyMS / d.freq()
-				curE := s.perRequestEnergyMJ(cur, curT)
-				newE := s.perRequestEnergyMJ(im, newT)
-				if curE-newE <= 0 {
-					continue // no actual energy saving
-				}
-				we := (cur.PowerW - im.PowerW) * (newT - curT)
-				if !found || we > best.we {
-					found = true
-					best = rankedSwap{ki: ki, kernel: kernel, we: we,
-						swapCandidate: swapCandidate{impl: im, device: d.Name}}
-				}
+				im, we, found = sc.impl, sc.we, sc.found
 			}
 			if found {
-				out = append(out, best)
+				out = append(out, rankedSwap{p: int32(p), kernel: kernel, we: we,
+					swapCandidate: swapCandidate{impl: im, dev: int32(di)}})
 			}
 		}
 	}
@@ -1168,50 +1208,96 @@ func (s *Scheduler) rankedSwaps(st *planState, devices []DeviceState, boundMS fl
 		if a.kernel != b.kernel {
 			return strings.Compare(a.kernel, b.kernel)
 		}
-		return strings.Compare(a.device, b.device)
+		return strings.Compare(devices[a.dev].Name, devices[b.dev].Name)
 	})
 	s.swapsBuf = out
 	return out
 }
 
-// resimulate rebuilds the placement with the kernel at pinKi moved to
-// cand, re-running list scheduling for start/end bookkeeping on a fresh
-// copy of the initial device states. The result lands in dst; src is
-// untouched. Returns false when the pinned device does not exist.
-func (s *Scheduler) resimulate(src, dst *planState, base []DeviceState, pinKi int32, cand swapCandidate) bool {
-	// devs is scheduler-owned scratch: resimulate runs inside tight
-	// repair/energy loops and nothing retains it past the call.
-	devs := append(s.resimDevs[:0], base...)
-	s.resimDevs = devs
-	dst.reset(len(s.knames))
-	for _, ki := range s.orderIdx {
-		im, devName := src.slab[ki].Impl, src.slab[ki].Device
-		if ki == pinKi {
-			im, devName = cand.impl, cand.device
+// bestSwap scans one board's candidates, at its DVFS scale f, for the
+// highest-W_E energy-saving replacement of cur (executing curT ms and
+// charged curE mJ); the first of equal W_E wins.
+func (s *Scheduler) bestSwap(cands []swapImpl, cur *model.Impl, curT, curE, f float64) (best *model.Impl, bestWE float64, found bool) {
+	for i := range cands {
+		c := &cands[i]
+		if c.impl == cur {
+			continue
+		}
+		newT := c.latencyMS / f
+		newE := c.powerW * newT / s.fill(c.latencyMS, c.batch)
+		if curE-newE <= 0 {
+			continue // no actual energy saving
+		}
+		we := (cur.PowerW - c.powerW) * (newT - curT)
+		if !found || we > bestWE {
+			best, bestWE, found = c.impl, we, true
+		}
+	}
+	return best, bestWE, found
+}
+
+// checkpoint records cur's checkpoints: for each position p of orderIdx,
+// the device states base reaches once cur's kernels at positions before p
+// are committed. cur is always Step 1's placement or an accepted trial,
+// and replaying either reproduces it exactly, so a trial pinned at p
+// replays positions before p just as cur has them: it can start from
+// checkpoint p with cur's prefix.
+func (s *Scheduler) checkpoint(cur *planState, base []DeviceState) {
+	nd := len(base)
+	ck := append(s.ckpt[:0], base...)
+	for p, ki := range s.orderIdx[:len(s.orderIdx)-1] {
+		ck = append(ck, ck[p*nd:(p+1)*nd]...)
+		if a := &cur.slab[ki]; a.Impl != nil {
+			commit(a, &ck[(p+1)*nd+int(cur.pos[ki])])
+		}
+	}
+	s.ckpt = ck
+}
+
+// trial replays cur with the kernel at position p of orderIdx moved to
+// cand, into dst, from cur's checkpoint at p: positions before p keep
+// cur's assignments, and only the rest are replayed. It stops and returns
+// false, leaving dst partial, as soon as a replayed kernel ends past
+// limitMS (+Inf never stops). Callers pass a limit no tighter than cur's
+// makespan, so a completed trial's makespan is within it. The result is
+// bit-identical to replaying the whole order from the initial states.
+func (s *Scheduler) trial(cur, dst *planState, p int, cand swapCandidate, limitMS float64) bool {
+	s.trials++
+	nd := len(s.ckpt) / len(s.orderIdx)
+	devs := append(s.trialDevs[:0], s.ckpt[p*nd:(p+1)*nd]...)
+	s.trialDevs = devs
+	dst.copyFrom(cur)
+	for q := p; q < len(s.orderIdx); q++ {
+		ki := s.orderIdx[q]
+		im, di := cur.slab[ki].Impl, cur.pos[ki]
+		if q == p {
+			im, di = cand.impl, cand.dev
 		}
 		if im == nil {
 			continue
 		}
-		var dev *DeviceState
-		for di := range devs {
-			if devs[di].Name == devName {
-				dev = &devs[di]
-				break
-			}
-		}
-		if dev == nil {
-			return false
-		}
-		est := s.estMS(ki, dev, dst.slab)
-		if avail := dev.availableAt(ImplID(im)); avail > est {
+		s.trialKernels++
+		d := &devs[di]
+		est := s.estMS(ki, di, dst)
+		if avail := d.availableAt(im); avail > est {
 			est = avail
 		}
-		dst.slab[ki] = Assignment{Kernel: s.knames[ki], Impl: im, Device: devName,
-			StartMS: est, EndMS: est + dev.groupExecMS(im, s.batchN),
-			ExecMS:   im.LatencyMS / dev.freq(),
-			CommitMS: dev.commitMS(im, batchCap(im))}
-		s.commit(&dst.slab[ki], devs)
+		a := &dst.slab[ki]
+		*a = Assignment{Kernel: s.knames[ki], Impl: im, Device: d.Name,
+			StartMS: est, EndMS: est + d.groupExecMS(im, s.batchN),
+			ExecMS:   im.LatencyMS / d.freq(),
+			CommitMS: d.commitMS(im, batchCap(im))}
+		dst.pos[ki] = di
+		if a.EndMS > limitMS {
+			return false
+		}
+		commit(a, d)
 	}
 	s.tally(dst)
 	return true
 }
+
+// TrialStats reports the Step 1.5/2 trials this scheduler has run and the
+// kernels they replayed. Both are deterministic work counters: they
+// depend only on the planning inputs, not on the host.
+func (s *Scheduler) TrialStats() (trials, kernels int) { return s.trials, s.trialKernels }

@@ -317,6 +317,45 @@ func TestStaticPlannerFixedMapping(t *testing.T) {
 	}
 }
 
+// TestStaticResidencyByIdentity: the static planner resolves resident
+// bitstreams to its fixed implementations on every call, cache on or off,
+// so a board already holding a kernel's fixed bitstream runs it without a
+// reconfiguration, in Schedule and in PlaceKernel alike.
+func TestStaticResidencyByIdentity(t *testing.T) {
+	_, prog, ks := buildSched(t)
+	for _, capacity := range []int{defaultPlanCacheCapacity, 0} {
+		sp, err := NewStatic(prog, ks, device.FPGA, StaticAuto)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.SetPlanCacheCapacity(capacity)
+		devs := settingIDevices()
+		for ki, boards := range sp.partition(devs) {
+			for di, mine := range boards {
+				if mine {
+					devs[di].LoadedImpl = ImplID(sp.impls[ki])
+				}
+			}
+		}
+		p, err := sp.Schedule(devs, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range p.Assignments {
+			if a.EndMS-a.StartMS-a.ExecMS > 1e-9 {
+				t.Fatalf("cache %d: %s paid a reconfiguration on its resident bitstream: %+v", capacity, a.Kernel, a)
+			}
+		}
+		a, err := sp.PlaceKernel("k2", devs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.EndMS-a.StartMS-a.ExecMS > 1e-9 || a.Device != p.Assignment("k2").Device {
+			t.Fatalf("cache %d: PlaceKernel ignored k2's resident board: %+v", capacity, a)
+		}
+	}
+}
+
 func TestStaticModesDiffer(t *testing.T) {
 	_, prog, ks := buildSched(t)
 	fast, err := NewStatic(prog, ks, device.GPU, StaticMinLatency)

@@ -52,7 +52,9 @@ type StaticPlanner struct {
 	// devices).
 	cache  *PlanCache
 	keyBuf []byte
-	// resid resolves resident-bitstream IDs to plan-key codes.
+	// resid interns the fixed implementations and resolves the boards'
+	// resident bitstreams on every call, for the plan key and for the
+	// residency tests of availableAt and execMS.
 	resid residencies
 	// scratchWork, slab and part are the reusable per-call device working
 	// copy, placement slab and partition.
@@ -125,6 +127,9 @@ func NewStatic(prog *opencl.Program, spaces *dse.KernelSpaces, class device.Clas
 		}
 	default:
 		return nil, fmt.Errorf("sched: unknown static mode %d", int(mode))
+	}
+	for _, im := range sp.impls {
+		sp.resid.intern(ImplID(im), im)
 	}
 	return sp, nil
 }
@@ -248,13 +253,15 @@ func (sp *StaticPlanner) PlaceKernel(kernel string, devices []DeviceState) (*Ass
 	if im == nil {
 		return nil, fmt.Errorf("sched: unknown kernel %q", kernel)
 	}
+	sp.resid.resolve(devices)
+	sp.scratchWork = sp.resid.copyResolved(sp.scratchWork, devices)
 	var best *Assignment
-	for di := range devices {
-		d := &devices[di]
+	for di := range sp.scratchWork {
+		d := &sp.scratchWork[di]
 		if d.Class != sp.class {
 			continue
 		}
-		est := d.availableAt(ImplID(im))
+		est := d.availableAt(im)
 		end := est + d.execMS(im)
 		if best == nil || end < best.EndMS {
 			best = &Assignment{Kernel: kernel, Impl: im, Device: d.Name,
@@ -279,10 +286,10 @@ func (sp *StaticPlanner) Schedule(devices []DeviceState, boundMS float64) (*Plan
 	if boundMS <= 0 {
 		boundMS = sp.prog.LatencyBoundMS
 	}
+	sp.resid.resolve(devices)
 	if sp.cache == nil {
 		return sp.scheduleCold(devices, boundMS)
 	}
-	sp.resid.resolve(devices)
 	key := binary.LittleEndian.AppendUint64(sp.keyBuf[:0], sp.healthEpoch)
 	key = binary.LittleEndian.AppendUint64(key, math.Float64bits(boundMS))
 	key = appendPlanKeyDevices(key, devices, sp.resid.res)
@@ -292,9 +299,10 @@ func (sp *StaticPlanner) Schedule(devices []DeviceState, boundMS float64) (*Plan
 	})
 }
 
+// scheduleCold places the request on devices resolved by resid.resolve.
 func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*Plan, error) {
 	part := sp.partition(devices)
-	work := append(sp.scratchWork[:0], devices...)
+	work := sp.resid.copyResolved(sp.scratchWork, devices)
 	sp.scratchWork = work
 	slab := sp.slab
 	clear(slab)
@@ -308,7 +316,7 @@ func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*
 			if d.Class != sp.class || !part[ki][di] {
 				continue
 			}
-			est := d.availableAt(ImplID(im))
+			est := d.availableAt(im)
 			for _, e := range sp.preds[ki] {
 				pa := &slab[e.from]
 				if pa.Impl == nil {
@@ -341,7 +349,7 @@ func (sp *StaticPlanner) scheduleCold(devices []DeviceState, boundMS float64) (*
 		if best.EndMS > d.lastEndMS {
 			d.lastEndMS = best.EndMS
 		}
-		d.LoadedImpl = ImplID(best.Impl)
+		d.loaded = best.Impl
 	}
 	var makespanMS, energyMJ float64
 	for _, ki := range sp.orderIdx {
