@@ -180,32 +180,28 @@ func (n *Node) FPGABoardCapacity() ResourceCapacity {
 	return ResourceCapacity{ComputeSlots: 1, PowerW: n.Plan.Setting.FPGA.PeakPowerW, FPGARegions: 1}
 }
 
-// Accelerators returns every board as the common interface, GPUs first.
-func (n *Node) Accelerators() []device.Accelerator {
-	out := make([]device.Accelerator, 0, len(n.GPUs)+len(n.FPGAs))
-	for _, g := range n.GPUs {
-		out = append(out, g)
-	}
-	for _, f := range n.FPGAs {
-		out = append(out, f)
-	}
-	return out
-}
-
-// PowerW returns the node's instantaneous accelerator power draw.
+// PowerW returns the node's instantaneous accelerator power draw,
+// summed over the GPUs and then the FPGAs.
 func (n *Node) PowerW() float64 {
 	var w float64
-	for _, a := range n.Accelerators() {
-		w += a.PowerW()
+	for _, g := range n.GPUs {
+		w += g.PowerW()
+	}
+	for _, f := range n.FPGAs {
+		w += f.PowerW()
 	}
 	return w
 }
 
-// EnergyMJ returns the node's accumulated accelerator energy.
+// EnergyMJ returns the node's accumulated accelerator energy, summed in
+// PowerW's board order.
 func (n *Node) EnergyMJ() float64 {
 	var e float64
-	for _, a := range n.Accelerators() {
-		e += a.EnergyMJ()
+	for _, g := range n.GPUs {
+		e += g.EnergyMJ()
+	}
+	for _, f := range n.FPGAs {
+		e += f.EnergyMJ()
 	}
 	return e
 }

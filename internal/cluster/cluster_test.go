@@ -74,8 +74,8 @@ func TestBuildNodeAndAggregates(t *testing.T) {
 	if len(n.GPUs) != 1 || len(n.FPGAs) != 5 {
 		t.Fatalf("built %d GPUs, %d FPGAs", len(n.GPUs), len(n.FPGAs))
 	}
-	if len(n.Accelerators()) != 6 {
-		t.Fatalf("accelerators = %d", len(n.Accelerators()))
+	if got := len(n.GPUs) + len(n.FPGAs); got != 6 {
+		t.Fatalf("accelerators = %d", got)
 	}
 	// Idle draw = 1×42 + 5×8 = 82 W.
 	if got := n.PowerW(); got != 82 {

@@ -91,8 +91,9 @@ type Fleet struct {
 
 	// rr is the spread policy's round-robin cursor.
 	rr int
-	// scratch is the router's reusable candidate buffer.
-	scratch []candidate
+	// healthyC and suspectC are the router's reusable candidate
+	// buffers, one per health partition.
+	healthyC, suspectC []candidate
 
 	// pending counts injected arrivals not yet routed; the drain loop
 	// runs while any shard or this counter is non-empty.

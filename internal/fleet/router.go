@@ -90,21 +90,29 @@ func (s Signals) Utilization() float64 {
 // criterion.
 func (s Signals) HasFreeSlot() bool { return s.SlotsAllocated < s.SlotsAllocatable }
 
-// signals snapshots one shard's routing view. Pure reads: QueueLen and
-// the in-flight counter never mutate device or server state, so probing
-// a node cannot perturb the run it routes into.
+// signals snapshots one shard's routing view, reading each board in
+// place: GPUs, then FPGAs. Pure reads: QueueLen and the in-flight
+// counter never mutate device or server state, so probing a node cannot
+// perturb the run it routes into.
 func (sh *shard) signals() Signals {
 	var s Signals
 	s.SlotsAllocatable = float64(len(sh.node.GPUs) + len(sh.node.FPGAs))
-	for _, a := range sh.node.Accelerators() {
-		q := a.QueueLen()
-		s.Backlog += q
-		if q > 0 {
-			s.SlotsAllocated++
-		}
+	for _, g := range sh.node.GPUs {
+		s.addBoard(g.QueueLen())
+	}
+	for _, f := range sh.node.FPGAs {
+		s.addBoard(f.QueueLen())
 	}
 	s.InFlight = sh.srv.InFlight()
 	return s
+}
+
+// addBoard folds one board's queued+running task count into s.
+func (s *Signals) addBoard(q int) {
+	s.Backlog += q
+	if q > 0 {
+		s.SlotsAllocated++
+	}
 }
 
 // NodeHealth is the fleet's belief about one node — the per-board
@@ -159,10 +167,10 @@ func (sh *shard) health() NodeHealth {
 // fleet. Candidates partition by health — healthy nodes first, suspect
 // nodes only when no healthy node exists, down/draining never — and the
 // policy decides within the partition. Runs entirely on pure reads
-// inside the single-threaded simulator, so placement is deterministic.
+// inside the single-threaded simulator, so placement is deterministic;
+// both partitions live in reused buffers, so a pick allocates nothing.
 func (f *Fleet) pick() *shard {
-	healthyC := f.scratch[:0]
-	var suspectC []candidate
+	healthyC, suspectC := f.healthyC[:0], f.suspectC[:0]
 	for _, sh := range f.shards {
 		st := sh.health()
 		f.noteHealth(sh, st)
@@ -173,7 +181,7 @@ func (f *Fleet) pick() *shard {
 			suspectC = append(suspectC, candidate{sh: sh, sig: sh.signals()})
 		}
 	}
-	f.scratch = healthyC[:0]
+	f.healthyC, f.suspectC = healthyC, suspectC
 	cands := healthyC
 	if len(cands) == 0 {
 		cands = suspectC

@@ -292,9 +292,12 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 				sv.tel.BitstreamResident(f.Name(), l, sv.sim.Now())
 			}
 		}
-		sv.tel.PowerSample(sv.sim.Now(), node.PowerW())
 	}
-	sv.powerTS.Add(sv.sim.Now(), node.PowerW())
+	w := node.PowerW()
+	if sv.tel != nil {
+		sv.tel.PowerSample(sv.sim.Now(), w)
+	}
+	sv.powerTS.Add(sv.sim.Now(), w)
 	if opts.Governor {
 		sv.sim.AfterCall(sim.Duration(governorPeriodMS), fireGovernorTick, sv)
 	}
@@ -894,9 +897,10 @@ func (sv *Server) governorTick() {
 	if !sv.opts.Governor {
 		return // switched off mid-run: stop rescheduling
 	}
-	sv.powerTS.Add(sv.sim.Now(), sv.node.PowerW())
+	w := sv.node.PowerW()
+	sv.powerTS.Add(sv.sim.Now(), w)
 	if sv.tel != nil {
-		sv.tel.PowerSample(sv.sim.Now(), sv.node.PowerW())
+		sv.tel.PowerSample(sv.sim.Now(), w)
 	}
 
 	var queued int
@@ -1215,9 +1219,10 @@ func (sv *Server) GovernorPeriodMS() float64 { return governorPeriodMS }
 func (sv *Server) Summarize() Result {
 	start := sv.powerTS.Times[0]
 	end := sv.sim.Now()
-	sv.powerTS.Add(end, sv.node.PowerW())
+	w := sv.node.PowerW()
+	sv.powerTS.Add(end, w)
 	if sv.tel != nil {
-		sv.tel.PowerSample(end, sv.node.PowerW())
+		sv.tel.PowerSample(end, w)
 	}
 
 	res := Result{

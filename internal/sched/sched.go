@@ -868,7 +868,8 @@ func (s *Scheduler) scheduleCold(devices []DeviceState, boundMS float64) (*Plan,
 // repairLatency iteratively moves kernels to the placement that most
 // reduces the planned makespan while it exceeds the bound. Each round
 // replays candidate moves into the trial placement and keeps the winner
-// in best; nothing allocates.
+// in best; a trial stops as soon as it cannot beat the round's best
+// score, and nothing allocates.
 func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceState, boundMS float64) {
 	for round := 0; round < 16 && cur.makespanMS > boundMS; round++ {
 		s.checkpoint(cur, base)
@@ -906,12 +907,17 @@ func (s *Scheduler) repairLatency(cur, trial, best *planState, base []DeviceStat
 					if im == a.Impl && int32(di) == cur.pos[ki] {
 						continue
 					}
-					s.trial(cur, trial, p, swapCandidate{impl: im, dev: int32(di)}, math.Inf(1))
 					// Score repairs like placements: makespan plus the
 					// marginal occupancy the move leaves behind, so a
 					// batched variant is not beaten by a batch-1 variant
-					// that finishes 2 ms sooner but hogs the device.
-					score := trial.makespanMS + d.commitMS(im, batchCap(im))
+					// that finishes 2 ms sooner but hogs the device. A
+					// trial stopped against the round's best score could
+					// not have beaten it.
+					pad := d.commitMS(im, batchCap(im))
+					if !s.trial(cur, trial, p, swapCandidate{impl: im, dev: int32(di)}, pad, bestScore) {
+						continue
+					}
+					score := trial.makespanMS + pad
 					if !bestFound || score < bestScore {
 						bestFound = true
 						bestScore = score
@@ -1102,7 +1108,7 @@ func (s *Scheduler) optimizeEnergy(cur, trial *planState, base []DeviceState, bo
 		for _, sw := range ranked {
 			// A completed trial is within effBound: the replayed kernels
 			// are, and the rest end by cur.makespanMS ≤ effBound.
-			if !s.trial(cur, trial, int(sw.p), sw.swapCandidate, effBound) ||
+			if !s.trial(cur, trial, int(sw.p), sw.swapCandidate, 0, effBound) ||
 				trial.energyMJ >= cur.energyMJ {
 				continue
 			}
@@ -1256,45 +1262,69 @@ func (s *Scheduler) checkpoint(cur *planState, base []DeviceState) {
 
 // trial replays cur with the kernel at position p of orderIdx moved to
 // cand, into dst, from cur's checkpoint at p: positions before p keep
-// cur's assignments, and only the rest are replayed. It stops and returns
-// false, leaving dst partial, as soon as a replayed kernel ends past
-// limitMS (+Inf never stops). Callers pass a limit no tighter than cur's
-// makespan, so a completed trial's makespan is within it. The result is
+// cur's assignments, and only the rest are replayed. The result is
 // bit-identical to replaying the whole order from the initial states.
-func (s *Scheduler) trial(cur, dst *planState, p int, cand swapCandidate, limitMS float64) bool {
+//
+// It stops and returns false, leaving dst unspecified, at the first
+// replayed kernel whose EndMS+padMS exceeds limitMS (+Inf never stops).
+// A trial's makespan is at least every replayed kernel's EndMS, so a
+// stopped trial's makespan+padMS exceeds limitMS too. A completed trial
+// is not known to be within the limit: only the replayed kernels were
+// tested. Step 2 passes padMS 0 and a limit no tighter than cur's
+// makespan, which every kept kernel ends by, so its completed trials are
+// within the limit; repair passes the move's commit pad and the round's
+// best score, and compares a completed trial's score itself.
+//
+// The pinned kernel is placed and tested before anything is copied: its
+// predecessors come earlier in orderIdx, so cur holds exactly the values
+// the trial would give them, and its board is read in place in the
+// checkpoint.
+func (s *Scheduler) trial(cur, dst *planState, p int, cand swapCandidate, padMS, limitMS float64) bool {
 	s.trials++
+	s.trialKernels++
 	nd := len(s.ckpt) / len(s.orderIdx)
+	est, end := s.startEnd(s.orderIdx[p], cand.impl, cand.dev, &s.ckpt[p*nd+int(cand.dev)], cur)
+	if end+padMS > limitMS {
+		return false
+	}
 	devs := append(s.trialDevs[:0], s.ckpt[p*nd:(p+1)*nd]...)
 	s.trialDevs = devs
 	dst.copyFrom(cur)
 	for q := p; q < len(s.orderIdx); q++ {
 		ki := s.orderIdx[q]
-		im, di := cur.slab[ki].Impl, cur.pos[ki]
-		if q == p {
-			im, di = cand.impl, cand.dev
+		im, di := cand.impl, cand.dev
+		if q > p {
+			im, di = cur.slab[ki].Impl, cur.pos[ki]
+			if im == nil {
+				continue
+			}
+			s.trialKernels++
+			est, end = s.startEnd(ki, im, di, &devs[di], dst)
+			if end+padMS > limitMS {
+				return false
+			}
 		}
-		if im == nil {
-			continue
-		}
-		s.trialKernels++
 		d := &devs[di]
-		est := s.estMS(ki, di, dst)
-		if avail := d.availableAt(im); avail > est {
-			est = avail
-		}
 		a := &dst.slab[ki]
 		*a = Assignment{Kernel: s.knames[ki], Impl: im, Device: d.Name,
-			StartMS: est, EndMS: est + d.groupExecMS(im, s.batchN),
+			StartMS: est, EndMS: end,
 			ExecMS:   im.LatencyMS / d.freq(),
 			CommitMS: d.commitMS(im, batchCap(im))}
 		dst.pos[ki] = di
-		if a.EndMS > limitMS {
-			return false
-		}
 		commit(a, d)
 	}
 	s.tally(dst)
 	return true
+}
+
+// startEnd returns when kernel ki, as im on d (the board at position di),
+// starts and ends after the predecessors st holds.
+func (s *Scheduler) startEnd(ki int32, im *model.Impl, di int32, d *DeviceState, st *planState) (est, end float64) {
+	est = s.estMS(ki, di, st)
+	if avail := d.availableAt(im); avail > est {
+		est = avail
+	}
+	return est, est + d.groupExecMS(im, s.batchN)
 }
 
 // TrialStats reports the Step 1.5/2 trials this scheduler has run and the

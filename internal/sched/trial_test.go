@@ -110,11 +110,39 @@ func rankedSwapsOracle(s *Scheduler, st *planState, devices []DeviceState, bound
 	return out
 }
 
+// replayedKernels derives, from the oracle's full replay ref of a trial
+// pinned at position p, what the checkpointed trial under padMS and
+// limitMS must do: the kernels it replays (the placed ones from p on, up
+// to and including the first whose EndMS+padMS exceeds limitMS) and
+// whether it completes.
+func replayedKernels(s *Scheduler, ref *planState, p int, padMS, limitMS float64) (n int, completes bool) {
+	for _, ki := range s.orderIdx[p:] {
+		a := &ref.slab[ki]
+		if a.Impl == nil {
+			continue
+		}
+		n++
+		if a.EndMS+padMS > limitMS {
+			return n, false
+		}
+	}
+	return n, true
+}
+
+// oracleCounts are the work counters the checkpointed planner must
+// reproduce, derived from the oracle's full replays: trials run and
+// kernels replayed, in total and for the repair rounds alone.
+type oracleCounts struct {
+	trials, kernels             int
+	repairTrials, repairKernels int
+}
+
 // scheduleOracle is the former cold planner end to end: Step 1, then
-// repair and energy rounds whose trials all run resimulateOracle. It
-// returns the plan and the number of trials it ran; each replayed every
-// kernel. A nil plan means Step 1 found no placement.
-func scheduleOracle(s *Scheduler, devices []DeviceState, boundMS float64) (*Plan, int) {
+// repair and energy rounds whose trials all run resimulateOracle and
+// are all scored, none stopped early. It returns the plan and the
+// counters the planner must match. A nil plan means Step 1 found no
+// placement.
+func scheduleOracle(s *Scheduler, devices []DeviceState, boundMS float64) (*Plan, oracleCounts) {
 	if boundMS <= 0 {
 		boundMS = s.prog.LatencyBoundMS
 	}
@@ -125,16 +153,16 @@ func scheduleOracle(s *Scheduler, devices []DeviceState, boundMS float64) (*Plan
 	cur.reset(len(s.knames))
 	for _, ki := range s.orderIdx {
 		if s.placeEFT(ki, work, &cur) != nil {
-			return nil, 0
+			return nil, oracleCounts{}
 		}
 	}
 	s.tally(&cur)
-	trials := 0
+	var c oracleCounts
 
 	for round := 0; round < 16 && cur.makespanMS > boundMS; round++ {
 		bestFound := false
 		bestScore := math.Inf(1)
-		for _, ki := range s.orderIdx {
+		for p, ki := range s.orderIdx {
 			a := &cur.slab[ki]
 			if a.Impl == nil {
 				continue
@@ -159,9 +187,12 @@ func scheduleOracle(s *Scheduler, devices []DeviceState, boundMS float64) (*Plan
 					if im == a.Impl && d.Name == a.Device {
 						continue
 					}
-					trials++
 					resimulateOracle(s, &cur, &trial, base, ki, swapCandidate{impl: im, dev: int32(di)})
-					score := trial.makespanMS + d.commitMS(im, batchCap(im))
+					pad := d.commitMS(im, batchCap(im))
+					n, _ := replayedKernels(s, &trial, p, pad, bestScore)
+					c.repairTrials++
+					c.repairKernels += n
+					score := trial.makespanMS + pad
 					if !bestFound || score < bestScore {
 						bestFound = true
 						bestScore = score
@@ -176,6 +207,7 @@ func scheduleOracle(s *Scheduler, devices []DeviceState, boundMS float64) (*Plan
 		cur.copyFrom(&best)
 	}
 
+	c.trials, c.kernels = c.repairTrials, c.repairKernels
 	swaps := 0
 	if boundMS-cur.makespanMS > 0 && !s.tpMode {
 		for round := 0; round < 64; round++ {
@@ -186,8 +218,10 @@ func scheduleOracle(s *Scheduler, devices []DeviceState, boundMS float64) (*Plan
 				effBound = cur.makespanMS
 			}
 			for _, sw := range ranked {
-				trials++
 				resimulateOracle(s, &cur, &trial, base, s.orderIdx[sw.p], sw.swapCandidate)
+				n, _ := replayedKernels(s, &trial, int(sw.p), 0, effBound)
+				c.trials++
+				c.kernels += n
 				if trial.makespanMS > effBound || trial.energyMJ >= cur.energyMJ {
 					continue
 				}
@@ -201,7 +235,7 @@ func scheduleOracle(s *Scheduler, devices []DeviceState, boundMS float64) (*Plan
 			}
 		}
 	}
-	return newPlan(cur.slab, boundMS, cur.makespanMS, cur.energyMJ, swaps), trials
+	return newPlan(cur.slab, boundMS, cur.makespanMS, cur.energyMJ, swaps), c
 }
 
 // statesBitIdentical reports how two placements differ, or "".
@@ -337,12 +371,15 @@ func fuzzPlanner(t *testing.T, in *fuzzInput) (*Scheduler, []DeviceState, float6
 }
 
 // FuzzPlannerTrial checks the cold planner against its full-replay
-// oracles on random programs, frontiers and nodes: whole plans and trial
-// counts against scheduleOracle, then, from Step 1's placement, random
-// pinned trials under random limits against resimulateOracle (slab,
-// positions, makespan and energy bit for bit; a pruned trial must be one
-// the oracle puts past the limit) and the ranked swap list against
-// rankedSwapsOracle, accepting random trials on the way.
+// oracles on random programs, frontiers and nodes: whole plans and work
+// counters against scheduleOracle, then, from Step 1's placement, random
+// pinned trials in both callers' shapes (Step 2's: no pad; repair's: a
+// commit pad, and limits that may sit below cur's makespan) against
+// resimulateOracle, and the ranked swap list against rankedSwapsOracle,
+// accepting random trials on the way. A trial must stop exactly where
+// the oracle's replay first crosses the limit, a stopped trial's oracle
+// must score past the limit, and a completed trial must match the oracle
+// bit for bit (slab, positions, makespan and energy).
 func FuzzPlannerTrial(f *testing.F) {
 	f.Add([]byte{0})
 	f.Add([]byte("\x03\x40\x00\x01\x00\x02\x00\x03\x10\x20\x30\x01\x02\x50\x60\x70\x02\x01\x80\x20\x40\x05\x01\x03\x00\x10\x03\x01\x05\x30\x01\x40\x02"))
@@ -351,10 +388,10 @@ func FuzzPlannerTrial(f *testing.F) {
 		in := &fuzzInput{b: data}
 		s, devs, bound := fuzzPlanner(t, in)
 
-		trials0, _ := s.TrialStats()
+		trials0, kernels0 := s.TrialStats()
 		got, gotErr := s.Schedule(devs, bound)
-		trials, _ := s.TrialStats()
-		want, wantTrials := scheduleOracle(s, devs, bound)
+		trials, kernels := s.TrialStats()
+		want, wantC := scheduleOracle(s, devs, bound)
 		if (gotErr != nil) != (want == nil) {
 			t.Fatalf("planner error %v, oracle plan %v", gotErr, want)
 		}
@@ -362,8 +399,9 @@ func FuzzPlannerTrial(f *testing.F) {
 			return
 		}
 		plansBitIdentical(t, "plan", got, want)
-		if trials-trials0 != wantTrials {
-			t.Fatalf("planner ran %d trials, oracle %d", trials-trials0, wantTrials)
+		if trials-trials0 != wantC.trials || kernels-kernels0 != wantC.kernels {
+			t.Fatalf("planner ran %d trials replaying %d kernels, oracle %d replaying %d",
+				trials-trials0, kernels-kernels0, wantC.trials, wantC.kernels)
 		}
 
 		s.resid.resolve(devs)
@@ -390,30 +428,47 @@ func FuzzPlannerTrial(f *testing.F) {
 			}
 			cand := swapCandidate{impl: cands[in.intn(len(cands))], dev: di}
 			resimulateOracle(s, &cur, &ref, base, ki, cand)
+			pad := 0.0
+			if b := in.byte(); b%2 == 1 {
+				pad = float64(b) / 16
+			}
+			edge := ref.makespanMS + pad
 			var limit float64
-			switch in.intn(5) {
+			switch in.intn(6) {
 			case 0:
 				limit = math.Inf(1)
 			case 1:
-				limit = ref.makespanMS
+				limit = edge
 			case 2:
-				limit = math.Nextafter(ref.makespanMS, math.Inf(-1))
+				limit = math.Nextafter(edge, math.Inf(-1))
 			case 3:
 				limit = cur.makespanMS
-			default:
+			case 4:
 				limit = cur.makespanMS + float64(in.byte())/8
+			default:
+				limit = cur.makespanMS * float64(in.byte()) / 256
 			}
-			limit = max(limit, cur.makespanMS) // trial's contract
-			ok := s.trial(&cur, &dst, p, cand, limit)
-			if past := ref.makespanMS > limit; ok == past {
-				t.Fatalf("step %d: trial pinned at %d returned %v under limit %v; oracle makespan %v",
-					step, p, ok, limit, ref.makespanMS)
+			_, k0 := s.TrialStats()
+			ok := s.trial(&cur, &dst, p, cand, pad, limit)
+			_, k1 := s.TrialStats()
+			wantN, wantOK := replayedKernels(s, &ref, p, pad, limit)
+			if ok != wantOK || k1-k0 != wantN {
+				t.Fatalf("step %d: trial pinned at %d (pad %v, limit %v) returned %v after %d kernels; oracle %v after %d",
+					step, p, pad, limit, ok, k1-k0, wantOK, wantN)
 			}
 			if !ok {
+				if !(edge > limit) {
+					t.Fatalf("step %d: trial pinned at %d stopped under limit %v, but the oracle scores %v",
+						step, p, limit, edge)
+				}
 				continue
 			}
 			if diff := statesBitIdentical(&dst, &ref); diff != "" {
 				t.Fatalf("step %d: trial pinned at %d differs from oracle: %s", step, p, diff)
+			}
+			if pad == 0 && limit >= cur.makespanMS && ref.makespanMS > limit {
+				t.Fatalf("step %d: Step-2 trial pinned at %d completed past limit %v: oracle makespan %v",
+					step, p, limit, ref.makespanMS)
 			}
 			if in.byte()%3 == 0 {
 				cur.copyFrom(&dst)
@@ -442,15 +497,16 @@ func rankedSwapsMatch(t *testing.T, s *Scheduler, st *planState, devices []Devic
 }
 
 // TestTrialCountersMatchOracle pins the claim on a fixed device sequence
-// over the ASR program: the planner's plans and trial counts equal the
-// full-replay oracle's, while the kernels it replays per trial fall below
-// the oracle's (every kernel, every trial).
+// over the ASR program: the planner's plans, trial counts and kernels
+// replayed equal what the full-replay oracle derives, while the kernels
+// replayed per trial fall below the oracle's (every kernel, every trial).
 func TestTrialCountersMatchOracle(t *testing.T) {
 	s, prog, _ := buildSched(t)
 	s.SetPlanCacheCapacity(0)
 	nk := len(prog.Kernels())
 	devs := steadyDevices(s)
 	trials0, kernels0 := s.TrialStats()
+	var repair oracleCounts
 	for i := 0; i < 200; i++ {
 		// A deterministic walk over backlogs, DVFS points and load hints
 		// that visits plans with no slack, plans that repair and plans
@@ -462,25 +518,29 @@ func TestTrialCountersMatchOracle(t *testing.T) {
 		devs[2].FreqScale = []float64{1, 0.8}[i/3%2]
 		s.SetLoadHint(float64(10 + i%5*20))
 		bound := []float64{0, 60, 120, 400}[i%4]
-		before, _ := s.TrialStats()
+		trialsBefore, kernelsBefore := s.TrialStats()
 		got, err := s.Schedule(devs, bound)
 		if err != nil {
 			t.Fatal(err)
 		}
-		after, _ := s.TrialStats()
-		want, n := scheduleOracle(s, devs, bound)
+		trialsAfter, kernelsAfter := s.TrialStats()
+		want, c := scheduleOracle(s, devs, bound)
 		plansBitIdentical(t, fmt.Sprintf("step %d", i), got, want)
-		if after-before != n {
-			t.Fatalf("step %d: %d trials, oracle %d", i, after-before, n)
+		if trialsAfter-trialsBefore != c.trials || kernelsAfter-kernelsBefore != c.kernels {
+			t.Fatalf("step %d: %d trials replaying %d kernels, oracle %d replaying %d",
+				i, trialsAfter-trialsBefore, kernelsAfter-kernelsBefore, c.trials, c.kernels)
 		}
+		repair.repairTrials += c.repairTrials
+		repair.repairKernels += c.repairKernels
 	}
 	trials, kernels := s.TrialStats()
 	trials, kernels = trials-trials0, kernels-kernels0
-	if trials == 0 {
-		t.Fatal("the sequence never reached a trial")
+	if trials == 0 || repair.repairTrials == 0 {
+		t.Fatalf("the sequence reached %d trials, %d of them repairs", trials, repair.repairTrials)
 	}
 	perTrial := float64(kernels) / float64(trials)
-	t.Logf("%d trials; %.2f kernels replayed per trial (oracle %d)", trials, perTrial, nk)
+	t.Logf("%d trials; %.2f kernels replayed per trial (oracle %d); %d repair trials, %.2f kernels each",
+		trials, perTrial, nk, repair.repairTrials, float64(repair.repairKernels)/float64(repair.repairTrials))
 	if perTrial >= float64(nk) {
 		t.Fatalf("%.2f kernels replayed per trial, no fewer than the oracle's %d", perTrial, nk)
 	}
