@@ -37,7 +37,7 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof (and, with -telemetry, /metrics or one /metrics/n<i> per fleet node) on this address (e.g. localhost:6060)")
-	useTelemetry := flag.Bool("telemetry", false, "record runtime telemetry (metrics + spans)")
+	useTelemetry := flag.Bool("telemetry", false, "record runtime telemetry (metrics + spans) for the live /metrics scrape (needs -pprof)")
 	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace JSON of the run to this file (implies -telemetry)")
 	flightOut := flag.String("flight-out", "", "write the QoS flight recorder to this file as Perfetto/Chrome trace JSON (implies -telemetry): the frozen pre-incident window if a violation or board-down trigger fired, else the live tail")
 	faults := flag.String("faults", "", "fault scenario: off, slowdowns, boardfail, reconfig, mispredict, or chaos")
@@ -47,7 +47,10 @@ func main() {
 	nodes := flag.Int("nodes", 1, "fleet size: shard the cluster into N nodes behind the router (1 = direct single-node path)")
 	fleetPolicy := flag.String("fleet-policy", "binpack", "fleet routing policy: binpack, spread, or least-util (needs -nodes > 1)")
 	flag.Parse()
-	if err := validate(*rps, *duration, *nodes, *batchWait, *batchCap); err != nil {
+	if err := validate(cliFlags{
+		rps: *rps, duration: *duration, nodes: *nodes, batchWait: *batchWait, batchCap: *batchCap,
+		telemetry: *useTelemetry, pprof: *pprofAddr, traceOut: *traceOut, flightOut: *flightOut,
+	}); err != nil {
 		fail(err)
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
@@ -101,7 +104,6 @@ func main() {
 			rps: *rps, durationMS: float64(duration.Milliseconds()),
 			seed: *seed, useTrace: *useTrace,
 			telemetry: *useTelemetry, pprofAddr: *pprofAddr,
-			traceOut: *traceOut, flightOut: *flightOut,
 			opts: runtime.Options{Faults: faultsOpt, BatchWaitMS: *batchWait, BatchCap: *batchCap},
 		})
 		return
@@ -181,8 +183,6 @@ type fleetConfig struct {
 	useTrace   bool
 	telemetry  bool
 	pprofAddr  string
-	traceOut   string
-	flightOut  string
 	opts       runtime.Options
 }
 
@@ -190,9 +190,6 @@ type fleetConfig struct {
 // single-node path, but arrivals go through the fleet router and the
 // report covers every shard plus the aggregate.
 func serveFleet(bench poly.Bench, cfg fleetConfig) {
-	if cfg.traceOut != "" || cfg.flightOut != "" {
-		fail(fmt.Errorf("-trace-out/-flight-out record one session; use -nodes 1"))
-	}
 	pol, err := fleet.ParsePolicy(cfg.policyName)
 	if err != nil {
 		fail(err)
@@ -238,21 +235,35 @@ func serveFleet(bench poly.Bench, cfg fleetConfig) {
 	fmt.Println(indent(res.String(), "  "))
 }
 
-// validate rejects out-of-range flag values before anything is built.
-func validate(rps float64, duration time.Duration, nodes int, batchWait float64, batchCap int) error {
+// cliFlags are the flag values validate checks.
+type cliFlags struct {
+	rps, batchWait             float64
+	duration                   time.Duration
+	nodes, batchCap            int
+	telemetry                  bool
+	pprof, traceOut, flightOut string
+}
+
+// validate rejects out-of-range or pointless flag combinations before
+// anything is built.
+func validate(f cliFlags) error {
 	switch {
-	case math.IsNaN(rps) || math.IsInf(rps, 0) || rps < 0:
-		return fmt.Errorf("-rps %v: want a finite rate >= 0", rps)
-	case duration <= 0:
-		return fmt.Errorf("-duration %v: want a positive span", duration)
-	case nodes < 1:
-		return fmt.Errorf("-nodes %d: want at least 1", nodes)
-	case math.IsNaN(batchWait) || math.IsInf(batchWait, 0) || batchWait < 0:
-		return fmt.Errorf("-batch-wait %v: want a finite wait >= 0 ms", batchWait)
-	case batchCap < 0:
-		return fmt.Errorf("-batch %d: want a cap >= 0", batchCap)
-	case batchCap > 0 && batchWait == 0:
-		return fmt.Errorf("-batch %d needs -batch-wait > 0", batchCap)
+	case math.IsNaN(f.rps) || math.IsInf(f.rps, 0) || f.rps < 0:
+		return fmt.Errorf("-rps %v: want a finite rate >= 0", f.rps)
+	case f.duration <= 0:
+		return fmt.Errorf("-duration %v: want a positive span", f.duration)
+	case f.nodes < 1:
+		return fmt.Errorf("-nodes %d: want at least 1", f.nodes)
+	case math.IsNaN(f.batchWait) || math.IsInf(f.batchWait, 0) || f.batchWait < 0:
+		return fmt.Errorf("-batch-wait %v: want a finite wait >= 0 ms", f.batchWait)
+	case f.batchCap < 0:
+		return fmt.Errorf("-batch %d: want a cap >= 0", f.batchCap)
+	case f.batchCap > 0 && f.batchWait == 0:
+		return fmt.Errorf("-batch %d needs -batch-wait > 0", f.batchCap)
+	case f.nodes > 1 && (f.traceOut != "" || f.flightOut != ""):
+		return fmt.Errorf("-trace-out/-flight-out record one session; use -nodes 1")
+	case f.telemetry && f.pprof == "" && f.traceOut == "" && f.flightOut == "":
+		return fmt.Errorf("-telemetry alone records what nothing reads: add -pprof <addr> to scrape /metrics live")
 	}
 	return nil
 }

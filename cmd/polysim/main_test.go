@@ -2,41 +2,56 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
 
 func TestValidate(t *testing.T) {
 	const sec = time.Second
+	base := cliFlags{rps: 40, duration: 20 * sec, nodes: 1}
+	with := func(edit func(*cliFlags)) cliFlags {
+		f := base
+		edit(&f)
+		return f
+	}
 	for _, c := range []struct {
-		name      string
-		rps       float64
-		duration  time.Duration
-		nodes     int
-		batchWait float64
-		batchCap  int
-		ok        bool
+		name  string
+		flags cliFlags
+		ok    bool
 	}{
-		{"defaults", 40, 20 * sec, 1, 0, 0, true},
-		{"zero rps", 0, 20 * sec, 1, 0, 0, true},
-		{"fleet with batching", 160, 10 * sec, 4, 4, 8, true},
-		{"batch-wait alone", 40, 20 * sec, 1, 4, 0, true},
-		{"NaN rps", math.NaN(), 20 * sec, 1, 0, 0, false},
-		{"+Inf rps", math.Inf(1), 20 * sec, 1, 0, 0, false},
-		{"-Inf rps", math.Inf(-1), 20 * sec, 1, 0, 0, false},
-		{"negative rps", -1, 20 * sec, 1, 0, 0, false},
-		{"zero duration", 40, 0, 1, 0, 0, false},
-		{"negative duration", 40, -sec, 1, 0, 0, false},
-		{"zero nodes", 40, 20 * sec, 0, 0, 0, false},
-		{"negative nodes", 40, 20 * sec, -3, 0, 0, false},
-		{"negative batch-wait", 40, 20 * sec, 1, -1, 0, false},
-		{"NaN batch-wait", 40, 20 * sec, 1, math.NaN(), 0, false},
-		{"negative batch", 40, 20 * sec, 1, 4, -1, false},
-		{"batch without batch-wait", 40, 20 * sec, 1, 0, 8, false},
+		{"defaults", base, true},
+		{"zero rps", with(func(f *cliFlags) { f.rps = 0 }), true},
+		{"fleet with batching", with(func(f *cliFlags) { f.rps, f.duration, f.nodes, f.batchWait, f.batchCap = 160, 10*sec, 4, 4, 8 }), true},
+		{"batch-wait alone", with(func(f *cliFlags) { f.batchWait = 4 }), true},
+		{"NaN rps", with(func(f *cliFlags) { f.rps = math.NaN() }), false},
+		{"+Inf rps", with(func(f *cliFlags) { f.rps = math.Inf(1) }), false},
+		{"-Inf rps", with(func(f *cliFlags) { f.rps = math.Inf(-1) }), false},
+		{"negative rps", with(func(f *cliFlags) { f.rps = -1 }), false},
+		{"zero duration", with(func(f *cliFlags) { f.duration = 0 }), false},
+		{"negative duration", with(func(f *cliFlags) { f.duration = -sec }), false},
+		{"zero nodes", with(func(f *cliFlags) { f.nodes = 0 }), false},
+		{"negative nodes", with(func(f *cliFlags) { f.nodes = -3 }), false},
+		{"negative batch-wait", with(func(f *cliFlags) { f.batchWait = -1 }), false},
+		{"NaN batch-wait", with(func(f *cliFlags) { f.batchWait = math.NaN() }), false},
+		{"negative batch", with(func(f *cliFlags) { f.batchWait, f.batchCap = 4, -1 }), false},
+		{"batch without batch-wait", with(func(f *cliFlags) { f.batchCap = 8 }), false},
+		{"telemetry with pprof", with(func(f *cliFlags) { f.telemetry, f.pprof = true, "localhost:6060" }), true},
+		{"fleet telemetry with pprof", with(func(f *cliFlags) { f.nodes, f.telemetry, f.pprof = 2, true, "localhost:6060" }), true},
+		{"trace-out implies telemetry", with(func(f *cliFlags) { f.traceOut = "t.json" }), true},
+		{"flight-out implies telemetry", with(func(f *cliFlags) { f.flightOut = "f.json" }), true},
+		{"telemetry with trace-out", with(func(f *cliFlags) { f.telemetry, f.traceOut = true, "t.json" }), true},
+		{"telemetry alone", with(func(f *cliFlags) { f.telemetry = true }), false},
+		{"fleet telemetry alone", with(func(f *cliFlags) { f.nodes, f.telemetry = 2, true }), false},
+		{"fleet trace-out", with(func(f *cliFlags) { f.nodes, f.traceOut = 2, "t.json" }), false},
+		{"fleet flight-out", with(func(f *cliFlags) { f.nodes, f.flightOut = 2, "f.json" }), false},
 	} {
-		err := validate(c.rps, c.duration, c.nodes, c.batchWait, c.batchCap)
+		err := validate(c.flags)
 		if (err == nil) != c.ok {
 			t.Errorf("%s: validate = %v, want ok=%v", c.name, err, c.ok)
 		}
+	}
+	if err := validate(with(func(f *cliFlags) { f.telemetry = true })); err == nil || !strings.Contains(err.Error(), "-pprof") {
+		t.Errorf("-telemetry alone: error %v does not name -pprof", err)
 	}
 }

@@ -41,9 +41,10 @@ import (
 
 // Options configures a fleet.
 type Options struct {
-	// Nodes is the shard count (1 if zero).
+	// Nodes is the shard count (1 if zero; negative is an error).
 	Nodes int
-	// Policy is the router's placement policy (Binpack if zero).
+	// Policy is the router's placement policy (Binpack if zero; a value
+	// outside Policies is an error).
 	Policy Policy
 	// NodeCapsW optionally skews per-node power caps (and with them
 	// board counts): entry i overrides the bench's cap for shard i. A
@@ -55,8 +56,11 @@ type Options struct {
 	// shard its own recorder instead.
 	Runtime runtime.Options
 	// WithTelemetry attaches a dedicated telemetry.Recorder to every
-	// shard, reachable via Recorder. Fleet-wide figures are sums over
-	// the shards' poly_node_* series; no recorder aggregates them.
+	// shard, reachable via Recorder. Collect steps every shard on the
+	// caller's goroutine, which thereby owns all the recorders: read
+	// them there, or scrape one live from elsewhere through its
+	// MetricsHandler. Fleet-wide figures are sums over the shards'
+	// poly_node_* series; no recorder aggregates them.
 	WithTelemetry bool
 }
 
@@ -117,8 +121,11 @@ func New(b runtime.Bench, opts Options) (*Fleet, error) {
 // fleet through. Collect's drain needs a simulator per shard.
 func newFleet(b runtime.Bench, opts Options, shared *sim.Simulator) (*Fleet, error) {
 	n := opts.Nodes
-	if n <= 0 {
+	if n == 0 {
 		n = 1
+	}
+	if n < 0 || opts.Policy < 0 || int(opts.Policy) >= len(policyNames) {
+		return nil, fmt.Errorf("fleet: %d nodes under %v: want Nodes >= 0 and a policy from Policies", n, opts.Policy)
 	}
 	if opts.Runtime.Telemetry != nil {
 		return nil, fmt.Errorf("fleet: Runtime.Telemetry must be nil (use WithTelemetry for per-shard recorders)")

@@ -497,6 +497,29 @@ func TestFleetTelemetryPerShard(t *testing.T) {
 	}
 }
 
+// TestNewDegenerateOptions: a policy outside Policies, a negative node
+// count or a degenerate per-shard runtime option is an error, not a
+// fleet that silently routes as binpack or serves one node.
+func TestNewDegenerateOptions(t *testing.T) {
+	b := asrBench(t)
+	for _, o := range []Options{
+		{Nodes: 2, Policy: Policy(99)},
+		{Nodes: 2, Policy: Policy(-1)},
+		{Nodes: -1},
+		{Nodes: 2, Runtime: runtime.Options{BoundMS: math.NaN()}},
+		{Nodes: 2, Runtime: runtime.Options{BatchCap: -4}},
+	} {
+		if f, err := New(b, o); err == nil {
+			t.Errorf("New(%+v) built a %d-node %v fleet, want an error", o, f.Nodes(), f.policy)
+		}
+	}
+	for _, p := range Policies() {
+		if _, err := New(b, Options{Nodes: 2, Policy: p}); err != nil {
+			t.Errorf("New with %v: %v", p, err)
+		}
+	}
+}
+
 // TestPolicyParsing covers the CLI surface: every policy round-trips
 // through its String name, aliases resolve, junk is rejected.
 func TestPolicyParsing(t *testing.T) {

@@ -222,6 +222,41 @@ func TestInjectDegenerateRates(t *testing.T) {
 	}
 }
 
+// TestNewServerDegenerateOptions: option values that would serve
+// without meaning — a NaN bound counts no violation, a NaN warmup
+// measures nothing — are errors, never a silent run.
+func TestNewServerDegenerateOptions(t *testing.T) {
+	b := benches(t, "ASR")[cluster.HeterPoly]
+	inf, nan := math.Inf(1), math.NaN()
+	cases := []struct {
+		name string
+		opts Options
+	}{
+		{"bound NaN", Options{BoundMS: nan}},
+		{"bound +Inf", Options{BoundMS: inf}},
+		{"bound negative", Options{BoundMS: -1}},
+		{"warmup NaN", Options{WarmupMS: nan}},
+		{"warmup +Inf", Options{WarmupMS: inf}},
+		{"warmup negative", Options{WarmupMS: -1}},
+		{"batch wait NaN", Options{BatchWaitMS: nan}},
+		{"batch wait +Inf", Options{BatchWaitMS: inf}},
+		{"batch wait negative", Options{BatchWaitMS: -4}},
+		{"batch cap negative", Options{BatchCap: -4}},
+		{"batch cap negative with wait", Options{BatchWaitMS: 4, BatchCap: -4}},
+	}
+	for _, c := range cases {
+		if res, err := b.ServeConstantLoadWith(c.opts, 40, 1000, 1); err == nil {
+			t.Errorf("%s: served %d requests, want an error", c.name, res.Completed)
+		}
+	}
+	// Zero values keep their defaults, and finite values serve.
+	for _, o := range []Options{{}, {BoundMS: 200, WarmupMS: 100, BatchWaitMS: 4, BatchCap: 8}} {
+		if _, err := b.ServeConstantLoadWith(o, 40, 1000, 1); err != nil {
+			t.Errorf("%+v: %v", o, err)
+		}
+	}
+}
+
 func TestMaxThroughputCompetitive(t *testing.T) {
 	// Fig. 1(a)/Fig. 8 reproduce in *shape*: all three systems sustain
 	// QoS-compliant load in the same tens-of-RPS band, and Heter-Poly is

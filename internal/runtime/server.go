@@ -13,6 +13,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -48,7 +49,8 @@ var (
 	_ Planner = (*sched.StaticPlanner)(nil)
 )
 
-// Options configures a server.
+// Options configures a server. NewServer rejects a NaN, infinite or
+// negative value in any of its numeric fields.
 type Options struct {
 	// BoundMS is the QoS tail-latency bound (program default if zero).
 	BoundMS float64
@@ -208,7 +210,15 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 	if node == nil || prog == nil || planner == nil {
 		return nil, fmt.Errorf("runtime: nil node, program, or planner")
 	}
-	if opts.BoundMS <= 0 {
+	// Degenerate options would serve without meaning: a NaN bound counts
+	// no violation, a NaN warmup measures nothing.
+	for _, v := range []float64{opts.BoundMS, opts.WarmupMS, opts.BatchWaitMS, float64(opts.BatchCap)} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("runtime: BoundMS %v, WarmupMS %v, BatchWaitMS %v, BatchCap %d: each must be finite and >= 0",
+				opts.BoundMS, opts.WarmupMS, opts.BatchWaitMS, opts.BatchCap)
+		}
+	}
+	if opts.BoundMS == 0 {
 		opts.BoundMS = prog.LatencyBoundMS
 	}
 	sv := &Server{

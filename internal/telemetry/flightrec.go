@@ -65,16 +65,16 @@ type flightSnapshot struct {
 	events []traceEv
 }
 
-// flightTripLocked fires the flight recorder: counts the trigger, drops
+// flightTrip fires the flight recorder: counts the trigger, drops
 // a trace instant, and — on the first trigger only — freezes the last
 // FlightWindowMS of ring events as the incident snapshot. Later
 // triggers only count; the first incident is the one worth the dump,
 // and freezing keeps its prelude from being overwritten while the run
-// continues. Callers hold r.mu.
-func (r *Recorder) flightTripLocked(cause string, at sim.Time) {
+// continues.
+func (r *Recorder) flightTrip(cause string, at sim.Time) {
 	r.reg.get("poly_flight_triggers_total", "Flight-recorder triggers by cause.",
 		kindCounter, Labels{"cause", cause}).inc()
-	r.emitLocked(traceEv{kind: evFlightTrigger, name: r.in.flightTrigger, ts: us(at),
+	r.emit(traceEv{kind: evFlightTrigger, name: r.in.flightTrigger, ts: us(at),
 		pid: int32(r.session), tid: tidRequests, s1: r.tab.id(cause)})
 	if r.flightSnap != nil {
 		return
@@ -86,17 +86,15 @@ func (r *Recorder) flightTripLocked(cause string, at sim.Time) {
 
 // FlightTriggered reports the first flight-recorder trigger, if any.
 func (r *Recorder) FlightTriggered() (cause string, atMS float64, ok bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.flightSnap == nil {
 		return "", 0, false
 	}
 	return r.flightSnap.cause, r.flightSnap.atMS, true
 }
 
-// flightMetaLocked builds the Perfetto process/thread metadata prologue
+// flightMeta builds the Perfetto process/thread metadata prologue
 // for a flight dump from the current session's boards.
-func (r *Recorder) flightMetaLocked() []traceEv {
+func (r *Recorder) flightMeta() []traceEv {
 	meta := make([]traceEv, 0, 3+len(r.boardList))
 	meta = append(meta,
 		traceEv{kind: evMetaProcess, name: r.in.processName, pid: int32(r.session), s1: r.in.flightProcess},
@@ -114,9 +112,7 @@ func (r *Recorder) flightMetaLocked() []traceEv {
 // the frozen incident snapshot if a trigger fired, otherwise the live
 // tail of the ring.
 func (r *Recorder) WriteFlight(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	meta := r.flightMetaLocked()
+	meta := r.flightMeta()
 	if r.flightSnap != nil {
 		return writeTraceEvents(w, r.tab, meta, r.flightSnap.events)
 	}

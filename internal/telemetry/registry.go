@@ -15,9 +15,9 @@ type Labels []string
 
 // Registry is a label-keyed metric store: counters, gauges, and
 // fixed-bucket histograms, grouped into families for Prometheus text
-// exposition. It has one writer and no lock of its own: the Recorder
-// that owns it serializes every update and every scrape under
-// Recorder.mu. The zero value is an empty registry.
+// exposition. It belongs to the Recorder that holds it and, like that
+// Recorder, is touched only by the owning goroutine. The zero value is
+// an empty registry.
 type Registry struct {
 	families map[string]*family
 	names    []string // family names in first-registration order
@@ -104,11 +104,6 @@ func appendLabelsKey(dst []byte, labels Labels) []byte {
 	return append(dst, '}')
 }
 
-// labelsKey renders labels sorted by key as a string.
-func labelsKey(labels Labels) string {
-	return string(appendLabelsKey(nil, labels))
-}
-
 func escapeLabel(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
@@ -163,8 +158,8 @@ func (r *Registry) Histogram(name, help string, labels ...string) *Metric {
 	return r.get(name, help, kindHistogram, Labels(labels))
 }
 
-// add / inc / set / observe are the series updates. The owning
-// Recorder calls them with Recorder.mu held.
+// add / inc / set / observe are the series updates, called by the
+// owning Recorder.
 func (m *Metric) add(v float64) { m.val += v }
 func (m *Metric) inc()          { m.val++ }
 func (m *Metric) set(v float64) { m.val = v }
@@ -174,8 +169,8 @@ func (m *Metric) observe(v float64) {
 	m.sum += v
 }
 
-// Value reads a counter or gauge series. It takes no lock: read it only
-// when the recorder that owns the series is not recording.
+// Value reads a counter or gauge series, on the goroutine that owns its
+// Recorder.
 func (m *Metric) Value() float64 { return m.val }
 
 // HistCount returns a histogram series' observation count, under the

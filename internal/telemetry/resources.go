@@ -50,25 +50,27 @@ type resGauges struct {
 	ratio       *Metric
 }
 
+// newResGauges registers one owner's gauge triple; scope is "node" or
+// "board", and title its capitalized form for the help text.
+func (r *Recorder) newResGauges(scope, title string, labels Labels) resGauges {
+	return resGauges{
+		allocated:   r.reg.get("poly_"+scope+"_allocated", title+" resource currently in use.", kindGauge, labels),
+		allocatable: r.reg.get("poly_"+scope+"_allocatable", title+" resource capacity.", kindGauge, labels),
+		ratio: r.reg.get("poly_"+scope+"_utilization_ratio",
+			title+" allocated over allocatable per resource.", kindGauge, labels),
+	}
+}
+
 // RegisterNodeResource implements Sink.
 func (r *Recorder) RegisterNodeResource(resource string, allocatable float64) {
 	i := resourceIndex(resource)
 	if i < 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.nodeRes[i] = resVals{allocatable: allocatable}
 	if !r.nodeResOn[i] {
 		r.nodeResOn[i] = true
-		r.nodeGauges[i] = resGauges{
-			allocated: r.reg.get("poly_node_allocated",
-				"Node resource currently in use.", kindGauge, Labels{"resource", resource}),
-			allocatable: r.reg.get("poly_node_allocatable",
-				"Node resource capacity.", kindGauge, Labels{"resource", resource}),
-			ratio: r.reg.get("poly_node_utilization_ratio",
-				"Node allocated over allocatable per resource.", kindGauge, Labels{"resource", resource}),
-		}
+		r.nodeGauges[i] = r.newResGauges("node", "Node", Labels{"resource", resource})
 	}
 }
 
@@ -78,29 +80,17 @@ func (r *Recorder) RegisterBoardResource(board, resource string, allocatable flo
 	if i < 0 {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	bs := r.boardLocked(board)
+	bs := r.board(board, "")
 	bs.res[i] = resVals{allocatable: allocatable}
 	if !bs.resOn[i] {
 		bs.resOn[i] = true
-		bs.gauges[i] = resGauges{
-			allocated: r.reg.get("poly_board_allocated",
-				"Board resource currently in use.", kindGauge,
-				Labels{"board", board, "resource", resource}),
-			allocatable: r.reg.get("poly_board_allocatable",
-				"Board resource capacity.", kindGauge,
-				Labels{"board", board, "resource", resource}),
-			ratio: r.reg.get("poly_board_utilization_ratio",
-				"Board allocated over allocatable per resource.", kindGauge,
-				Labels{"board", board, "resource", resource}),
-		}
+		bs.gauges[i] = r.newResGauges("board", "Board", Labels{"board", board, "resource", resource})
 	}
 }
 
-// setBoardResLocked moves one board's raw occupancy and keeps the node
+// setBoardRes moves one board's raw occupancy and keeps the node
 // aggregate incremental, so scrape-time sync never walks event history.
-func (r *Recorder) setBoardResLocked(bs *boardState, i int, allocated float64) {
+func (r *Recorder) setBoardRes(bs *boardState, i int, allocated float64) {
 	old := bs.res[i].allocated
 	if allocated == old {
 		return
@@ -117,16 +107,12 @@ func (r *Recorder) BusyChanged(device string, busy int, at sim.Time) {
 	if busy > 0 {
 		occ = 1
 	}
-	r.mu.Lock()
-	r.setBoardResLocked(r.boardLocked(device), 0, occ)
-	r.mu.Unlock()
+	r.setBoardRes(r.board(device, ""), 0, occ)
 }
 
 // PowerChanged implements Sink (the device.ResourceObserver subset).
 func (r *Recorder) PowerChanged(device string, watts float64, at sim.Time) {
-	r.mu.Lock()
-	r.setBoardResLocked(r.boardLocked(device), 1, watts)
-	r.mu.Unlock()
+	r.setBoardRes(r.board(device, ""), 1, watts)
 }
 
 // BitstreamResident implements Sink (the device.ResourceObserver subset).
@@ -135,9 +121,7 @@ func (r *Recorder) BitstreamResident(device, implID string, at sim.Time) {
 	if implID != "" {
 		occ = 1
 	}
-	r.mu.Lock()
-	r.setBoardResLocked(r.boardLocked(device), 2, occ)
-	r.mu.Unlock()
+	r.setBoardRes(r.board(device, ""), 2, occ)
 }
 
 func syncResGauges(g resGauges, v resVals) {
@@ -150,9 +134,9 @@ func syncResGauges(g resGauges, v resVals) {
 	}
 }
 
-// syncResourcesLocked pushes the raw occupancy floats into the exported
+// syncResources pushes the raw occupancy floats into the exported
 // gauges; called once per scrape.
-func (r *Recorder) syncResourcesLocked() {
+func (r *Recorder) syncResources() {
 	for i := 0; i < numResources; i++ {
 		if r.nodeResOn[i] {
 			syncResGauges(r.nodeGauges[i], r.nodeRes[i])

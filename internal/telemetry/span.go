@@ -270,31 +270,50 @@ func (s *Span) ComputeStages() {
 	b := StageBreakdown{HoldMS: s.HoldMS, PlanMS: 0,
 		ExecMS: exec, TransferMS: transfer, RetryMS: retry}
 	// Solve QueueMS as the remainder, then correct by result error until
-	// the canonical sum reproduces LatencyMS bit-exactly. The correction
+	// the canonical sum reproduces LatencyMS exactly. The correction
 	// usually converges in a step or two: partial and target are within a
 	// factor of two once q is added, so the error subtraction is exact
 	// (Sterbenz) and each iteration cancels the remaining rounding. The
-	// one unreachable case is a round-to-even tie: when every candidate
-	// sum lands exactly half a ULP from LatencyMS, stepping q oscillates
-	// around the target forever. Shifting the largest measured stage by
-	// one ULP (invisible at millisecond scale) moves the sum lattice off
-	// the tie and the remainder becomes solvable.
+	// one unreachable case is a round-to-even tie (breakTie).
 	q, ok := solveQueueRemainder(&b, s.LatencyMS)
-	for tries := 0; !ok && tries < 4; tries++ {
-		largest := &b.HoldMS
-		for _, v := range []*float64{&b.ExecMS, &b.TransferMS, &b.RetryMS} {
-			if *v > *largest {
-				largest = v
-			}
-		}
-		if *largest <= 0 {
-			break // partial is zero: q = LatencyMS is exact, cannot get here
-		}
-		*largest = math.Nextafter(*largest, math.Inf(-1))
-		q, ok = solveQueueRemainder(&b, s.LatencyMS)
+	if !ok {
+		q = b.breakTie(s.LatencyMS, q)
 	}
 	b.QueueMS = q
 	s.Stages = b
+}
+
+// breakTie handles the round-to-even tie: when every candidate sum lands
+// exactly half a ULP from latency, stepping q oscillates around the
+// target forever. Moving the partial sum by any amount under a ULP of
+// latency takes it off the tie, so it nudges one measured stage
+// (invisibly at millisecond scale) and solves again: first the largest
+// down by its own ULP; and when a tie inside the partial sum absorbs
+// that, each stage in turn by one and by half a ULP of the partial sum.
+func (b *StageBreakdown) breakTie(latency, q float64) float64 {
+	measured := [...]*float64{&b.HoldMS, &b.ExecMS, &b.TransferMS, &b.RetryMS}
+	largest := measured[0]
+	for _, v := range measured[1:] {
+		if *v > *largest {
+			largest = v
+		}
+	}
+	partial := (((b.HoldMS + b.PlanMS) + b.ExecMS) + b.TransferMS) + b.RetryMS
+	u := partial - math.Nextafter(partial, math.Inf(-1))
+	ok := false
+	for try := -1; !ok && try < 4*len(measured); try++ {
+		v, to := largest, math.Nextafter(*largest, math.Inf(-1))
+		if try >= 0 {
+			v, to = measured[try/4], *measured[try/4]+[...]float64{-u, u, -u / 2, u / 2}[try%4]
+		}
+		if was := *v; was > 0 && to >= 0 {
+			*v = to
+			if q, ok = solveQueueRemainder(b, latency); !ok {
+				*v = was
+			}
+		}
+	}
+	return q
 }
 
 // solveQueueRemainder finds q so the canonical stage sum reproduces
@@ -339,9 +358,6 @@ func NewSpanRing(cap int) *SpanRing {
 	}
 	return &SpanRing{buf: make([]*Span, 0, cap)}
 }
-
-// Push records a finished span, evicting the oldest when full.
-func (r *SpanRing) Push(s *Span) { r.PushEvict(s) }
 
 // PushEvict records a finished span and returns the span it displaced
 // (nil while the ring is filling) so the owner can recycle it.

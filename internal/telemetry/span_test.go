@@ -83,7 +83,7 @@ func TestSpanLifecycle(t *testing.T) {
 func TestSpanRingBounded(t *testing.T) {
 	ring := NewSpanRing(4)
 	for i := 1; i <= 10; i++ {
-		ring.Push(&Span{ID: uint64(i)})
+		ring.PushEvict(&Span{ID: uint64(i)})
 	}
 	if ring.Total() != 10 {
 		t.Fatalf("total = %d, want 10", ring.Total())

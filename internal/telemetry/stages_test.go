@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"poly/internal/sim"
 )
 
 // checkStageSum asserts the package invariant: the canonical stage sum
@@ -170,58 +172,115 @@ func TestComputeStagesTable(t *testing.T) {
 	}
 }
 
-// TestComputeStagesRandomized hammers the ULP-correction path: random
-// interval soups with hostile float values must still satisfy the
-// bit-exact sum invariant, and recycled spans (reset + recompute) must
-// behave identically to fresh ones.
-func TestComputeStagesRandomized(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sp := &Span{} // reused across iterations, like the recorder's free list
-	for iter := 0; iter < 5000; iter++ {
-		sp.reset(uint64(iter), 0, 100)
-		// Physically-shaped spans — the contract the runtime provides: all
-		// stage intervals lie inside the request's [0, latency] window, so
-		// coverage never dwarfs the latency the remainder is solved
-		// against. Latencies span decades (~0.02 ms to ~3 s) to stress the
-		// ULP correction at every magnitude.
-		latency := math.Exp(rng.Float64()*12 - 4)
-		if rng.Intn(50) == 0 {
+// stageInput decodes fuzz bytes; reads past the end return zero.
+type stageInput struct {
+	b []byte
+	i int
+}
+
+func (in *stageInput) byte() byte {
+	if in.i >= len(in.b) {
+		return 0
+	}
+	in.i++
+	return in.b[in.i-1]
+}
+
+// frac returns a value in [0, 1] with 16 bits of resolution.
+func (in *stageInput) frac() float64 {
+	return float64(uint16(in.byte())<<8|uint16(in.byte())) / math.MaxUint16
+}
+
+// checkStages decodes up to eight physically-shaped spans from data —
+// the contract the runtime provides: staging hold first, then kernel,
+// transfer and retry intervals inside the rest of the request's
+// [0, latency] window — and finishes each through a recorder whose
+// one-slot ring recycles them, the way serving does. Latencies span
+// decades (~0.02 ms to ~3 s) with fuzzed low mantissa bits to stress
+// the ULP correction at every magnitude. Every finished span must have
+// stages summing bit-exactly to LatencyMS, no negative or NaN stage
+// (the queue remainder may sit below zero by rounding only), and
+// stages equal to a fresh span's; a dropped span's stages stay zero.
+func checkStages(t *testing.T, data []byte) {
+	in := &stageInput{b: data}
+	r := NewWithOptions(Options{SpanRingCap: 1})
+	for n := 0; n < 8 && in.i < len(in.b); n++ {
+		sp := r.StartSpan(0, 100)
+		latency := math.Exp(in.frac()*12 - 4)
+		latency = math.Float64frombits(math.Float64bits(latency) ^ uint64(in.byte()))
+		if in.byte()%50 == 0 {
 			latency = 0 // instantaneously-completed request
 		}
 		sp.LatencyMS = latency
-		sp.HoldMS = rng.Float64() * 0.1 * latency
+		sp.HoldMS = in.frac() * 0.1 * latency
 		within := func() (float64, float64) {
-			a, b := rng.Float64()*latency, rng.Float64()*latency
-			if a > b {
-				a, b = b, a
-			}
-			return a, b
+			a := sp.HoldMS + in.frac()*(latency-sp.HoldMS)
+			b := sp.HoldMS + in.frac()*(latency-sp.HoldMS)
+			return min(a, b, latency), min(max(a, b), latency)
 		}
-		for i := rng.Intn(6); i > 0; i-- {
+		for k := in.byte() % 6; k > 0; k-- {
 			s, e := within()
-			if rng.Intn(10) == 0 {
+			if in.byte()%10 == 0 {
 				e = s // failed attempt: the board lost the task
 			}
-			k := sp.AddKernel("k", "dev", "impl", s*rng.Float64())
-			k.StartMS, k.EndMS = s, e
-			if rng.Intn(3) == 0 {
-				k.Retried = true
-				k.RetryFromMS = s * rng.Float64()
+			ks := sp.AddKernel("k", "dev", "impl", sp.HoldMS+in.frac()*(s-sp.HoldMS))
+			ks.StartMS, ks.EndMS = s, e
+			if in.byte()%3 == 0 {
+				ks.Retried = true
+				ks.RetryFromMS = sp.HoldMS + in.frac()*(s-sp.HoldMS)
 			}
 		}
-		for i := rng.Intn(3); i > 0; i-- {
-			s, e := within()
-			sp.AddTransfer(s, e)
+		for k := in.byte() % 3; k > 0; k-- {
+			sp.AddTransfer(within())
 		}
-		sp.ComputeStages()
+		sp.Dropped = in.byte()%8 == 0
+		r.FinishSpan(sp, sim.Time(latency))
+
+		if sp.Dropped {
+			if sp.Stages != (StageBreakdown{}) {
+				t.Fatalf("span %d: dropped span has stages %+v", n, sp.Stages)
+			}
+			continue
+		}
 		checkStageSum(t, sp)
 		for i := 0; i < NumStages; i++ {
-			if i == StageQueue {
-				continue // queue is a signed remainder by design
+			v := sp.Stages.Get(i)
+			if i == StageQueue && v >= -1e-12*latency {
+				continue
 			}
-			if v := sp.Stages.Get(i); v < 0 || math.IsNaN(v) {
-				t.Fatalf("iter %d: stage %s = %v", iter, StageNames[i], v)
+			if v < 0 || math.IsNaN(v) {
+				t.Fatalf("span %d: stage %s = %v (latency %v)", n, StageNames[i], v, latency)
+			}
+		}
+		fresh := &Span{LatencyMS: sp.LatencyMS, HoldMS: sp.HoldMS, Transfers: sp.Transfers}
+		for _, k := range sp.Kernels {
+			kc := *k
+			fresh.Kernels = append(fresh.Kernels, &kc)
+		}
+		fresh.ComputeStages()
+		for i := 0; i < NumStages; i++ {
+			if a, b := sp.Stages.Get(i), fresh.Stages.Get(i); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("span %d: recycled stage %s = %v, fresh span's %v", n, StageNames[i], a, b)
 			}
 		}
 	}
+}
+
+// TestComputeStagesRandomized hammers the ULP-correction path with
+// checkStages on random bytes: 1000 inputs of up to eight spans each.
+func TestComputeStagesRandomized(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	data := make([]byte, 512)
+	for iter := 0; iter < 1000; iter++ {
+		rng.Read(data)
+		checkStages(t, data)
+	}
+}
+
+// FuzzComputeStages runs checkStages on fuzzed bytes. The seed corpus
+// in testdata/fuzz replays on every go test.
+func FuzzComputeStages(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte("\x80\x00\x01\x07\x40\x00\x10\x00\xff\xff\x05\x20\x00\x60\x00\x01\x30\x00\x40\x00\x00\x02\x10\x00\x90\x00\x01\x01"))
+	f.Fuzz(checkStages)
 }

@@ -14,18 +14,24 @@
 // which is what keeps the telemetry-off serving path within noise of the
 // un-instrumented one (BenchmarkServeSteadyState).
 //
-// The enabled path is budgeted too: one mutex acquisition per runtime
-// event, per-board series pointers cached at registration, compact
-// (map-free) trace events, and recycled spans keep
+// Ownership rule: a Recorder is read and written only by the goroutine
+// that records into it — a serving session, or the fleet drain stepping
+// its shards — so it holds no lock. The one cross-goroutine path is
+// MetricsHandler: a live /metrics scrape hands the owner a reply channel
+// and the owner renders the exposition at its next FinishSpan or
+// PowerSample, a point between simulator events.
+//
+// The enabled path is budgeted too: per-board series pointers cached at
+// registration, compact (map-free) trace events, and recycled spans keep
 // BenchmarkServeTelemetryOn within 10% of telemetry-off (CI-gated).
 // Derived series — utilization ratios, stage percentiles, SLO burn
 // gauges — are synced lazily at scrape time, not per event.
 package telemetry
 
 import (
+	"bytes"
 	"io"
 	"net/http"
-	"sync"
 
 	"poly/internal/sim"
 )
@@ -181,14 +187,15 @@ type boardState struct {
 }
 
 // Recorder is the standard Sink: it feeds the registry, the span ring,
-// the trace buffer, the flight recorder, and the SLO tracker. A Recorder
-// records one timeline from one writer: sessions follow each other, and
-// concurrently-running sessions (a parallel sweep, fleet shards) each
-// need their own Recorder. mu is the package's only lock, kept so a live
-// /metrics scrape can read while the simulation records; each runtime
-// event takes it exactly once.
+// the trace buffer, the flight recorder, and the SLO tracker. It records
+// one timeline, owned by one goroutine (see the package doc): sessions
+// follow each other, and concurrently-running sessions (a parallel
+// sweep, fleet shards) each need their own Recorder.
 type Recorder struct {
-	mu    sync.Mutex
+	// scrapes carries waiting MetricsHandler calls' reply channels to
+	// the owner (answerScrape).
+	scrapes chan chan []byte
+
 	reg   Registry
 	spans *SpanRing
 	trace *traceBuf
@@ -252,11 +259,12 @@ func New() *Recorder { return NewWithOptions(Options{}) }
 func NewWithOptions(o Options) *Recorder {
 	o.withDefaults()
 	r := &Recorder{
-		spans:  NewSpanRing(o.SpanRingCap),
-		trace:  newTraceBuf(o.TraceEventCap),
-		flight: newFlightRing(o.FlightRingCap),
-		boards: make(map[string]*boardState),
-		opts:   o,
+		spans:   NewSpanRing(o.SpanRingCap),
+		trace:   newTraceBuf(o.TraceEventCap),
+		flight:  newFlightRing(o.FlightRingCap),
+		boards:  make(map[string]*boardState),
+		scrapes: make(chan chan []byte),
+		opts:    o,
 		slo: newSLOTracker(o.SLOTarget, o.SLOShortWindowMS, o.SLOLongWindowMS,
 			o.SLOBurnThreshold),
 	}
@@ -322,30 +330,19 @@ func NewWithOptions(o Options) *Recorder {
 	return r
 }
 
-// Registry exposes the metric registry for tests. It has no lock of its
-// own: read it only while the recorder is not recording.
+// Registry exposes the metric registry for tests.
 func (r *Recorder) Registry() *Registry { return &r.reg }
 
 // Spans returns the retained finished spans, oldest first. The snapshot
 // aliases live ring entries: it is only valid until enough newer
 // requests finish to wrap the ring and recycle its spans.
-func (r *Recorder) Spans() []*Span {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spans.Snapshot()
-}
+func (r *Recorder) Spans() []*Span { return r.spans.Snapshot() }
 
 // SpanTotal returns how many spans finished over the recorder's lifetime.
-func (r *Recorder) SpanTotal() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.spans.Total()
-}
+func (r *Recorder) SpanTotal() int { return r.spans.Total() }
 
 // BeginSession implements Sink.
 func (r *Recorder) BeginSession(label string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.session++
 	r.nextTID = tidFirstBoard
 	clear(r.boards)
@@ -362,8 +359,10 @@ func (r *Recorder) BeginSession(label string) {
 	r.trace.add(traceEv{kind: evMetaThread, name: r.in.threadName, pid: int32(r.session), tid: tidRequests, s1: r.in.requests})
 }
 
-// ensureBoardLocked resolves (or creates) a board's cached state.
-func (r *Recorder) ensureBoardLocked(name, class string) *boardState {
+// board resolves (or creates) a board's cached state. Event paths pass
+// an empty class: they may see a board the runtime never registered,
+// and a later RegisterBoard fills the class in.
+func (r *Recorder) board(name, class string) *boardState {
 	if bs, ok := r.boards[name]; ok {
 		if bs.class == "" && class != "" {
 			bs.class = class
@@ -394,23 +393,15 @@ func (r *Recorder) ensureBoardLocked(name, class string) *boardState {
 	return bs
 }
 
-// boardLocked is ensureBoardLocked for event paths that may see a board
-// the runtime never registered.
-func (r *Recorder) boardLocked(name string) *boardState {
-	return r.ensureBoardLocked(name, "")
-}
-
 // RegisterBoard implements Sink.
 func (r *Recorder) RegisterBoard(name, class string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.session == 0 {
 		r.session = 1 // boards registered without an explicit session
 	}
 	known := r.boards[name] != nil
-	bs := r.ensureBoardLocked(name, class)
+	bs := r.board(name, class)
 	if class == "FPGA" {
-		r.fpgaSeriesLocked(bs)
+		r.fpgaSeries(bs)
 	}
 	if known {
 		return
@@ -422,16 +413,15 @@ func (r *Recorder) RegisterBoard(name, class string) {
 // us converts simulated milliseconds to trace microseconds.
 func us(t sim.Time) float64 { return float64(t) * 1000 }
 
-// emitLocked appends a compact event to the trace buffer and the flight
-// ring. Callers hold r.mu.
-func (r *Recorder) emitLocked(e traceEv) {
+// emit appends a compact event to the trace buffer and the flight
+// ring.
+func (r *Recorder) emit(e traceEv) {
 	r.trace.add(e)
 	r.flight.add(e)
 }
 
 // StartSpan implements Sink.
 func (r *Recorder) StartSpan(at sim.Time, boundMS float64) *Span {
-	r.mu.Lock()
 	r.nextSpan++
 	var sp *Span
 	if n := len(r.spanFree); n > 0 {
@@ -446,7 +436,6 @@ func (r *Recorder) StartSpan(at sim.Time, boundMS float64) *Span {
 	// exactly what a post-incident dump needs.
 	r.flight.add(traceEv{kind: evAdmit, name: r.in.admit, ts: us(at),
 		pid: int32(r.session), tid: tidRequests, i1: int64(sp.ID), f1: boundMS})
-	r.mu.Unlock()
 	return sp
 }
 
@@ -455,7 +444,6 @@ func (r *Recorder) FinishSpan(sp *Span, at sim.Time) {
 	if !sp.Dropped {
 		sp.ComputeStages()
 	}
-	r.mu.Lock()
 	r.gInflightSpans.val--
 	switch {
 	case sp.Dropped:
@@ -481,7 +469,7 @@ func (r *Recorder) FinishSpan(sp *Span, at sim.Time) {
 			if k.EndMS <= k.StartMS {
 				continue // failed attempt; its retry record carries the stats
 			}
-			bs := r.boardLocked(k.Device)
+			bs := r.board(k.Device, "")
 			bs.queueHist.observe(k.QueueMS())
 			bs.serviceHist.observe(k.ServiceMS())
 			c := bs.execs[k.Kernel]
@@ -496,36 +484,33 @@ func (r *Recorder) FinishSpan(sp *Span, at sim.Time) {
 	if sp.Measured {
 		if trip, short, long := r.slo.observe(float64(at), sp.Violation); trip {
 			r.cBurnTrips.inc()
-			r.emitLocked(traceEv{kind: evSLOBurn, name: r.in.sloBurn, ts: us(at),
+			r.emit(traceEv{kind: evSLOBurn, name: r.in.sloBurn, ts: us(at),
 				pid: int32(r.session), tid: tidGovernor, f1: short, f2: long, s1: r.in.trip})
 		}
 	}
 	if sp.Violation {
-		r.emitLocked(traceEv{kind: evViolation, name: r.in.violation, ts: us(at),
+		r.emit(traceEv{kind: evViolation, name: r.in.violation, ts: us(at),
 			pid: int32(r.session), tid: tidRequests,
 			f1: sp.LatencyMS, f2: sp.BoundMS, i1: int64(sp.ID)})
 		if sp.Measured {
-			r.flightTripLocked("violation", at)
+			r.flightTrip("violation", at)
 		}
 	}
 	if old := r.spans.PushEvict(sp); old != nil {
 		r.spanFree = append(r.spanFree, old)
 	}
-	r.mu.Unlock()
+	r.answerScrape()
 }
 
 // PlanError implements Sink.
 func (r *Recorder) PlanError(at sim.Time) {
-	r.mu.Lock()
 	r.cPlanErr.inc()
-	r.emitLocked(traceEv{kind: evPlanError, name: r.in.planError, ts: us(at),
+	r.emit(traceEv{kind: evPlanError, name: r.in.planError, ts: us(at),
 		pid: int32(r.session), tid: tidRequests})
-	r.mu.Unlock()
 }
 
 // PlanUpdate implements Sink.
 func (r *Recorder) PlanUpdate(cacheHit bool, energySwaps int) {
-	r.mu.Lock()
 	if cacheHit {
 		r.cCacheHit.inc()
 	} else {
@@ -534,12 +519,10 @@ func (r *Recorder) PlanUpdate(cacheHit bool, energySwaps int) {
 	if energySwaps > 0 {
 		r.cSwaps.add(float64(energySwaps))
 	}
-	r.mu.Unlock()
 }
 
 // BatchFlush implements Sink.
 func (r *Recorder) BatchFlush(at sim.Time, size int, holdMS float64, reason string) {
-	r.mu.Lock()
 	switch reason {
 	case "full":
 		r.cBatchFull.inc()
@@ -553,74 +536,62 @@ func (r *Recorder) BatchFlush(at sim.Time, size int, holdMS float64, reason stri
 	}
 	r.hBatchSize.observe(float64(size))
 	r.hBatchHold.observe(holdMS)
-	r.emitLocked(traceEv{kind: evBatch, name: r.tab.id(batchEventName(reason)), ts: us(at),
+	r.emit(traceEv{kind: evBatch, name: r.tab.prefixed("batch:", reason), ts: us(at),
 		pid: int32(r.session), tid: tidRequests, i1: int64(size), f1: holdMS})
-	r.mu.Unlock()
 }
 
 // RequestShed implements Sink.
 func (r *Recorder) RequestShed(at sim.Time) {
-	r.mu.Lock()
 	r.cShed.inc()
-	r.emitLocked(traceEv{kind: evShed, name: r.in.shed, ts: us(at),
+	r.emit(traceEv{kind: evShed, name: r.in.shed, ts: us(at),
 		pid: int32(r.session), tid: tidRequests})
-	r.mu.Unlock()
 }
 
 // TaskRetry implements Sink.
 func (r *Recorder) TaskRetry(device, kernel string, at sim.Time) {
-	r.mu.Lock()
-	bs := r.boardLocked(device)
+	bs := r.board(device, "")
 	r.reg.get("poly_task_retries_total", "Kernel retries after device task failures.",
 		kindCounter, Labels{"device", device}).inc()
-	r.emitLocked(traceEv{kind: evRetry, name: r.tab.id("retry:" + kernel), ts: us(at),
+	r.emit(traceEv{kind: evRetry, name: r.tab.prefixed("retry:", kernel), ts: us(at),
 		pid: int32(r.session), tid: bs.tid, s1: r.tab.id(kernel)})
-	r.mu.Unlock()
 }
 
 // BoardHealthChanged implements Sink.
 func (r *Recorder) BoardHealthChanged(device, from, to string, at sim.Time) {
-	r.mu.Lock()
-	bs := r.boardLocked(device)
+	bs := r.board(device, "")
 	r.reg.get("poly_board_health_transitions_total", "Board health-state transitions.",
 		kindCounter, Labels{"device", device, "to", to}).inc()
-	r.emitLocked(traceEv{kind: evHealth, name: r.tab.id(healthEventName(to)), ts: us(at),
+	r.emit(traceEv{kind: evHealth, name: r.tab.prefixed("health:", to), ts: us(at),
 		pid: int32(r.session), tid: bs.tid, s1: r.tab.id(from), s2: r.tab.id(to)})
 	if to == "down" {
-		r.flightTripLocked("board_down", at)
+		r.flightTrip("board_down", at)
 	}
-	r.mu.Unlock()
 }
 
 // GovernorTransition implements Sink.
 func (r *Recorder) GovernorTransition(at sim.Time, from, to, cause string) {
-	r.mu.Lock()
 	r.reg.get("poly_governor_transitions_total", "Governor mode changes by cause.",
 		kindCounter, Labels{"from", from, "to", to, "cause", cause}).inc()
-	r.emitLocked(traceEv{kind: evGovernor, name: r.tab.id(governorEventName(to)), ts: us(at),
+	r.emit(traceEv{kind: evGovernor, name: r.tab.prefixed("governor:", to), ts: us(at),
 		pid: int32(r.session), tid: tidGovernor,
 		s1: r.tab.id(from), s2: r.tab.id(to), s3: r.tab.id(cause)})
-	r.mu.Unlock()
 }
 
 // PowerSample implements Sink.
 func (r *Recorder) PowerSample(at sim.Time, watts float64) {
-	r.mu.Lock()
 	r.gPower.set(watts)
-	r.emitLocked(traceEv{kind: evPower, name: r.in.power, ts: us(at),
+	r.emit(traceEv{kind: evPower, name: r.in.power, ts: us(at),
 		pid: int32(r.session), tid: tidGovernor, f1: watts})
-	r.mu.Unlock()
+	r.answerScrape()
 }
 
 // Launched implements Sink (the device.Observer subset).
 func (r *Recorder) Launched(device, kernel, implID string, batch int, start, end sim.Time) {
-	r.mu.Lock()
-	bs := r.boardLocked(device)
+	bs := r.board(device, "")
 	bs.launches.inc()
 	bs.busyMS.add(float64(end - start))
-	r.emitLocked(traceEv{kind: evKernel, name: r.tab.id(kernel), s1: r.tab.id(implID),
+	r.emit(traceEv{kind: evKernel, name: r.tab.id(kernel), s1: r.tab.id(implID),
 		i1: int64(batch), ts: us(start), dur: us(end - start), pid: int32(r.session), tid: bs.tid})
-	r.mu.Unlock()
 }
 
 const (
@@ -628,10 +599,10 @@ const (
 	modeBackground = "background"
 )
 
-// fpgaSeriesLocked resolves a board's FPGA reconfiguration series once:
+// fpgaSeries resolves a board's FPGA reconfiguration series once:
 // at registration for an FPGA, or at the first bitstream load on a board
 // the runtime never registered.
-func (r *Recorder) fpgaSeriesLocked(bs *boardState) {
+func (r *Recorder) fpgaSeries(bs *boardState) {
 	if bs.reconfigFG != nil {
 		return
 	}
@@ -645,9 +616,8 @@ func (r *Recorder) fpgaSeriesLocked(bs *boardState) {
 
 // ReconfigStart implements Sink (the device.Observer subset).
 func (r *Recorder) ReconfigStart(device, implID string, at sim.Time, stallMS float64, background bool) {
-	r.mu.Lock()
-	bs := r.boardLocked(device)
-	r.fpgaSeriesLocked(bs)
+	bs := r.board(device, "")
+	r.fpgaSeries(bs)
 	mode := r.in.modeFG
 	if background {
 		mode = r.in.modeBG
@@ -656,52 +626,39 @@ func (r *Recorder) ReconfigStart(device, implID string, at sim.Time, stallMS flo
 		bs.reconfigFG.inc()
 	}
 	bs.reconfigStall.add(stallMS)
-	r.emitLocked(traceEv{kind: evReconfig, name: r.in.reconfig, ts: us(at), dur: stallMS * 1000,
+	r.emit(traceEv{kind: evReconfig, name: r.in.reconfig, ts: us(at), dur: stallMS * 1000,
 		pid: int32(r.session), tid: bs.tid, s1: r.tab.id(implID), s2: mode})
-	r.mu.Unlock()
 }
 
 // DVFSChanged implements Sink (the device.Observer subset).
 func (r *Recorder) DVFSChanged(device string, level int, at sim.Time) {
-	r.mu.Lock()
-	bs := r.boardLocked(device)
+	bs := r.board(device, "")
 	bs.dvfs.set(float64(level))
-	r.emitLocked(traceEv{kind: evDVFS, name: r.in.dvfs, ts: us(at),
+	r.emit(traceEv{kind: evDVFS, name: r.in.dvfs, ts: us(at),
 		pid: int32(r.session), tid: bs.tid, i1: int64(level)})
-	r.mu.Unlock()
 }
 
 // TraceDropped reports how many trace events exceeded the buffer cap.
-func (r *Recorder) TraceDropped() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace.dropped
-}
+func (r *Recorder) TraceDropped() int { return r.trace.dropped }
 
 // TraceEventCount reports the buffered trace event count.
-func (r *Recorder) TraceEventCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.trace.n
-}
+func (r *Recorder) TraceEventCount() int { return r.trace.n }
 
 // WriteTrace renders the buffered timeline as Chrome trace-event JSON
 // (load it at https://ui.perfetto.dev or chrome://tracing).
 func (r *Recorder) WriteTrace(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if d := r.trace.dropped; d > 0 {
 		r.cDropped.set(float64(d))
 	}
 	return r.trace.writeTrace(w, r.tab)
 }
 
-// syncDerivedLocked refreshes every scrape-time series: resource
+// syncDerived refreshes every scrape-time series: resource
 // utilization gauges, stage percentile gauges, SLO burn gauges, and the
 // trace-drop counter. Doing this once per scrape keeps the per-event
 // recording path flat.
-func (r *Recorder) syncDerivedLocked() {
-	r.syncResourcesLocked()
+func (r *Recorder) syncDerived() {
+	r.syncResources()
 	for i := 0; i < NumStages; i++ {
 		s := &r.stageSamples[i]
 		if s.Count() == 0 {
@@ -729,19 +686,39 @@ func (r *Recorder) syncDerivedLocked() {
 // WritePrometheus renders the metric registry in the Prometheus text
 // exposition format, refreshing derived gauges first.
 func (r *Recorder) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.syncDerivedLocked()
+	r.syncDerived()
 	return r.reg.write(w)
 }
 
 // MetricsHandler serves WritePrometheus over HTTP — mount it at /metrics
-// on the pprof listener.
+// on the pprof listener. It is the one method safe to call from another
+// goroutine: it hands a reply channel to the owner and waits for the
+// text the owner renders at its next FinishSpan or PowerSample, or
+// gives up when the request's context ends. A scrape that arrives after
+// the run has ended therefore waits until its client goes away.
 func (r *Recorder) MetricsHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = r.WritePrometheus(w)
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		reply := make(chan []byte, 1)
+		select {
+		case r.scrapes <- reply:
+			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+			_, _ = w.Write(<-reply)
+		case <-req.Context().Done():
+		}
 	})
+}
+
+// answerScrape renders the exposition for a waiting MetricsHandler, if
+// there is one. The receive never blocks, so an unscraped recorder pays
+// one empty-channel check per call.
+func (r *Recorder) answerScrape() {
+	select {
+	case reply := <-r.scrapes:
+		var buf bytes.Buffer
+		_ = r.WritePrometheus(&buf)
+		reply <- buf.Bytes()
+	default:
+	}
 }
 
 var _ Sink = (*Recorder)(nil)

@@ -33,14 +33,27 @@ const (
 // ring of pointer-free structs, no matter how many million events they
 // hold. Id 0 is always the empty string.
 type strtab struct {
-	ids  map[string]int32
-	strs []string
+	ids   map[string]int32
+	strs  []string
+	pairs map[[2]string]int32 // prefix+s ids, see prefixed
 }
 
 func newStrtab() *strtab {
-	t := &strtab{ids: make(map[string]int32, 64)}
+	t := &strtab{ids: make(map[string]int32, 64), pairs: make(map[[2]string]int32)}
 	t.id("")
 	return t
+}
+
+// prefixed interns prefix+s ("batch:full", "retry:fft"), concatenating
+// only the first time a pair is seen, so event names built from a
+// prefix cost the hot path one map probe and no allocation.
+func (t *strtab) prefixed(prefix, s string) int32 {
+	id, ok := t.pairs[[2]string{prefix, s}]
+	if !ok {
+		id = t.id(prefix + s)
+		t.pairs[[2]string{prefix, s}] = id
+	}
+	return id
 }
 
 // id interns s. A hit is one map probe with no allocation — the hot
@@ -141,49 +154,6 @@ func (e *traceEv) materialize(tab *strtab) TraceEvent {
 		out.Args = map[string]any{"span": e.i1, "bound_ms": e.f1}
 	}
 	return out
-}
-
-// batchEventName interns the trace names for the known flush reasons so
-// the hot path never concatenates.
-func batchEventName(reason string) string {
-	switch reason {
-	case "full":
-		return "batch:full"
-	case "maxwait":
-		return "batch:maxwait"
-	case "disband":
-		return "batch:disband"
-	default:
-		return "batch:" + reason
-	}
-}
-
-func governorEventName(to string) string {
-	switch to {
-	case "nominal":
-		return "governor:nominal"
-	case "lowpower":
-		return "governor:lowpower"
-	case "boost":
-		return "governor:boost"
-	case "calm":
-		return "governor:calm"
-	default:
-		return "governor:" + to
-	}
-}
-
-func healthEventName(to string) string {
-	switch to {
-	case "healthy":
-		return "health:healthy"
-	case "suspect":
-		return "health:suspect"
-	case "down":
-		return "health:down"
-	default:
-		return "health:" + to
-	}
 }
 
 // traceChunk is how many events each trace-buffer chunk holds. Chunked

@@ -2,9 +2,13 @@ package telemetry
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"runtime"
 	"testing"
+
+	"poly/internal/sim"
 )
 
 // TestTraceStructure drives the recorder through one synthetic session —
@@ -104,15 +108,38 @@ func TestTraceBufferCap(t *testing.T) {
 }
 
 // TestMetricsHandlerContentType checks the /metrics endpoint speaks the
-// Prometheus text content type.
+// Prometheus text content type. The scrape is answered by the recorder's
+// owner, this goroutine, at its next PowerSample; a scrape whose request
+// is cancelled before the owner reaches one returns without a body.
 func TestMetricsHandlerContentType(t *testing.T) {
 	r := New()
 	rec := httptest.NewRecorder()
-	r.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	done := make(chan struct{})
+	go func() {
+		r.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		close(done)
+	}()
+	for at, answered := sim.Time(0), false; !answered; at++ {
+		r.PowerSample(at, 100)
+		select {
+		case <-done:
+			answered = true
+		default:
+			runtime.Gosched()
+		}
+	}
 	if ct := rec.Header().Get("Content-Type"); ct != "text/plain; version=0.0.4; charset=utf-8" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 	if !bytes.Contains(rec.Body.Bytes(), []byte("# TYPE poly_requests_total counter")) {
 		t.Fatal("metrics body missing poly_requests_total family")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	gone := httptest.NewRecorder()
+	r.MetricsHandler().ServeHTTP(gone, httptest.NewRequest("GET", "/metrics", nil).WithContext(ctx))
+	if gone.Body.Len() != 0 {
+		t.Fatalf("cancelled scrape wrote %d bytes", gone.Body.Len())
 	}
 }
