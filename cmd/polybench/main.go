@@ -30,8 +30,8 @@ func main() {
 		"worker-pool size for sweeps and DSE (0 = POLY_WORKERS or NumCPU, 1 = serial engine; output is identical at any size)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace JSON of every single-node session the experiment runs (forces -workers 1; fleet shards are not recorded)")
-	metricsOut := flag.String("metrics-out", "", "write the Prometheus metrics of every single-node session the experiment runs (forces -workers 1; fleet shards are not recorded)")
+	traceOut := flag.String("trace-out", "", "write a Perfetto/Chrome trace JSON of every single-node session the experiment runs (forces -workers 1; fleet shards are not recorded; the trace is kept only when this flag is set)")
+	metricsOut := flag.String("metrics-out", "", "write the Prometheus metrics of every single-node session the experiment runs (forces -workers 1; fleet shards are not recorded; without -trace-out no trace events are kept, so poly_trace_events_dropped_total reads 0)")
 	flag.Parse()
 	parallel.SetWorkers(*workers)
 	// The recorder is handed to the experiment, which attaches it to
@@ -45,7 +45,13 @@ func main() {
 		fmt.Fprintln(os.Stderr,
 			"polybench: -trace-out/-metrics-out force a serial worker pool (POLY_WORKERS ignored); drop them for parallel sweeps")
 		parallel.SetWorkers(1)
-		rec = telemetry.New()
+		// Keep a trace only when -trace-out will write it; polybench
+		// writes no flight dump, so it keeps no flight ring.
+		opts := telemetry.Options{FlightRingCap: -1}
+		if *traceOut == "" {
+			opts.TraceEventCap = -1
+		}
+		rec = telemetry.NewWithOptions(opts)
 		sink = rec
 	}
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)

@@ -60,7 +60,7 @@ func main() {
 	defer stopProf()
 	var rec *telemetry.Recorder
 	if *nodes <= 1 && (*useTelemetry || *traceOut != "" || *flightOut != "") {
-		rec = telemetry.New()
+		rec = telemetry.NewWithOptions(recorderOptions(*traceOut, *flightOut))
 		prof.Handle("/metrics", rec.MetricsHandler())
 		if *pprofAddr != "" {
 			fmt.Printf("telemetry: http://%s/metrics (Prometheus text)\n", *pprofAddr)
@@ -266,6 +266,20 @@ func validate(f cliFlags) error {
 		return fmt.Errorf("-telemetry alone records what nothing reads: add -pprof <addr> to scrape /metrics live")
 	}
 	return nil
+}
+
+// recorderOptions keeps a trace only for -trace-out and a flight ring
+// only for -flight-out: a recorder that serves just the live /metrics
+// scrape keeps neither.
+func recorderOptions(traceOut, flightOut string) telemetry.Options {
+	var o telemetry.Options
+	if traceOut == "" {
+		o.TraceEventCap = -1
+	}
+	if flightOut == "" {
+		o.FlightRingCap = -1
+	}
+	return o
 }
 
 func writeFlightFile(rec *telemetry.Recorder, path string) error {

@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"poly/internal/telemetry"
 )
 
 func TestValidate(t *testing.T) {
@@ -53,5 +55,27 @@ func TestValidate(t *testing.T) {
 	}
 	if err := validate(with(func(f *cliFlags) { f.telemetry = true })); err == nil || !strings.Contains(err.Error(), "-pprof") {
 		t.Errorf("-telemetry alone: error %v does not name -pprof", err)
+	}
+}
+
+// TestRecorderOptions pins which stores each flag combination keeps: a
+// trace only for -trace-out, a flight ring only for -flight-out, and
+// neither for a recorder that only answers the live /metrics scrape
+// (-telemetry -pprof). A kept store takes its default cap (0).
+func TestRecorderOptions(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		traceOut, flightOut string
+		wantTrace, wantRing int
+	}{
+		{"telemetry -pprof alone", "", "", -1, -1},
+		{"trace-out", "t.json", "", 0, -1},
+		{"flight-out", "", "f.json", -1, 0},
+		{"trace-out and flight-out", "t.json", "f.json", 0, 0},
+	} {
+		want := telemetry.Options{TraceEventCap: c.wantTrace, FlightRingCap: c.wantRing}
+		if o := recorderOptions(c.traceOut, c.flightOut); o != want {
+			t.Errorf("%s: options %+v, want %+v", c.name, o, want)
+		}
 	}
 }

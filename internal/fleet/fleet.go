@@ -60,7 +60,9 @@ type Options struct {
 	// caller's goroutine, which thereby owns all the recorders: read
 	// them there, or scrape one live from elsewhere through its
 	// MetricsHandler. Fleet-wide figures are sums over the shards'
-	// poly_node_* series; no recorder aggregates them.
+	// poly_node_* series; no recorder aggregates them. Shard recorders
+	// keep metrics and spans only: they hold no trace events or flight
+	// ring, so their WriteTrace and WriteFlight return an error.
 	WithTelemetry bool
 }
 
@@ -149,7 +151,9 @@ func newFleet(b runtime.Bench, opts Options, shared *sim.Simulator) (*Fleet, err
 			sh.sim = sim.New()
 		}
 		if opts.WithTelemetry {
-			sh.rec = telemetry.New()
+			// No caller can write a fleet's trace or flight dump, so a
+			// shard recorder keeps neither.
+			sh.rec = telemetry.NewWithOptions(telemetry.Options{TraceEventCap: -1, FlightRingCap: -1})
 			ro.Telemetry = sh.rec
 		}
 		srv, node, err := bi.NewShardSession(sh.sim, prefix, ro)

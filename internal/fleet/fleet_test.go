@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
@@ -476,6 +477,17 @@ func TestFleetTelemetryPerShard(t *testing.T) {
 			strconv.FormatFloat(f.Node(i).Capacity().ComputeSlots, 'g', -1, 64))
 		if !strings.Contains(buf.String(), want) {
 			t.Fatalf("shard %d exposition lacks %q:\n%s", i, want, buf.String())
+		}
+		// Nothing can write a shard's trace or flight dump, so the
+		// shard keeps neither.
+		if n, d := rec.TraceEventCount(), rec.TraceDropped(); n != 0 || d != 0 {
+			t.Fatalf("shard %d recorder kept %d trace events and dropped %d; want none", i, n, d)
+		}
+		if err := rec.WriteTrace(io.Discard); err == nil {
+			t.Fatalf("shard %d recorder wrote a trace", i)
+		}
+		if err := rec.WriteFlight(io.Discard); err == nil {
+			t.Fatalf("shard %d recorder wrote a flight dump", i)
 		}
 	}
 

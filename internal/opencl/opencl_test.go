@@ -340,3 +340,34 @@ func TestKernelDefaultInvocations(t *testing.T) {
 		t.Fatalf("default invocations = %d", k.Invocations())
 	}
 }
+
+// FuzzParse checks that Parse never panics and that every program it
+// accepts is whole: it passes Validate and orders every kernel exactly
+// once under TopoSort. The seed corpus holds the six compiled-in
+// applications' sources, the package-doc example and malformed
+// annotations.
+func FuzzParse(f *testing.F) {
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Parse(src)
+		if err != nil {
+			return
+		}
+		if err := prog.Validate(); err != nil {
+			t.Fatalf("accepted program fails Validate: %v", err)
+		}
+		order, err := prog.TopoSort()
+		if err != nil {
+			t.Fatalf("accepted program fails TopoSort: %v", err)
+		}
+		seen := make(map[string]bool, len(order))
+		for _, name := range order {
+			if seen[name] || prog.Kernel(name) == nil {
+				t.Fatalf("TopoSort order %v repeats or invents kernel %q", order, name)
+			}
+			seen[name] = true
+		}
+		if len(order) != len(prog.Kernels()) {
+			t.Fatalf("TopoSort ordered %d of %d kernels", len(order), len(prog.Kernels()))
+		}
+	})
+}

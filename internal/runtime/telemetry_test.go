@@ -1,12 +1,15 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"poly/internal/cluster"
+	"poly/internal/fault"
 	"poly/internal/parallel"
 	"poly/internal/sim"
 	"poly/internal/telemetry"
@@ -303,5 +306,70 @@ func BenchmarkServeTelemetryOn(b *testing.B) {
 		if res.PlanErrors != 0 {
 			b.Fatalf("%d plan errors", res.PlanErrors)
 		}
+	}
+}
+
+// TestTelemetryRetentionEquivalence serves one faulted, batched session
+// twice: once into a full recorder and once into one that keeps neither
+// trace nor flight ring, the recorder every fleet shard gets. What a
+// recorder keeps must not touch the run or its metrics: the results and
+// latency samples are bit-identical, the expositions byte-identical, and
+// both recorders report the same first flight trigger. The keep-none
+// side holds no trace event, counts no drop, and refuses to write a
+// trace or a flight dump.
+func TestTelemetryRetentionEquivalence(t *testing.T) {
+	b := benches(t, "ASR")[cluster.HeterPoly]
+	run := func(rec *telemetry.Recorder) (Result, []float64) {
+		sv := polySession(t, b, -1, Options{
+			WarmupMS:    1000,
+			BatchWaitMS: 4,
+			Telemetry:   rec,
+			Faults: &fault.Config{Seed: 7, Script: []fault.Window{
+				{Board: "gpu0", Kind: fault.Failure, Start: 3000, End: 4000},
+			}},
+		})
+		NewWorkload(7).InjectPoisson(sv, 200, 0, sim.Time(8000))
+		return sv.Collect(), sv.LatencySamples()
+	}
+	full := telemetry.New()
+	none := telemetry.NewWithOptions(telemetry.Options{TraceEventCap: -1, FlightRingCap: -1})
+	resFull, latFull := run(full)
+	resNone, latNone := run(none)
+	sameServe(t, "keep-none vs full recorder", resNone, resFull, latNone, latFull)
+	if !reflect.DeepEqual(resNone, resFull) {
+		t.Fatalf("results differ:\n  keep-none: %+v\n  full:      %+v", resNone, resFull)
+	}
+	if resFull.BoardDownEvents == 0 || resFull.BatchGroups == 0 {
+		t.Fatalf("the session is not faulted and batched: %d board-down events, %d batch groups",
+			resFull.BoardDownEvents, resFull.BatchGroups)
+	}
+
+	var promFull, promNone bytes.Buffer
+	if err := full.WritePrometheus(&promFull); err != nil {
+		t.Fatal(err)
+	}
+	if err := none.WritePrometheus(&promNone); err != nil {
+		t.Fatal(err)
+	}
+	if promNone.String() != promFull.String() {
+		t.Fatal("keep-none exposition differs from the full recorder's")
+	}
+
+	if n, d := none.TraceEventCount(), none.TraceDropped(); n != 0 || d != 0 {
+		t.Fatalf("keep-none recorder: %d trace events kept, %d dropped; want 0 and 0", n, d)
+	}
+	if full.TraceEventCount() == 0 {
+		t.Fatal("full recorder kept no trace events")
+	}
+	causeF, atF, okF := full.FlightTriggered()
+	causeN, atN, okN := none.FlightTriggered()
+	if !okF || causeN != causeF || math.Float64bits(atN) != math.Float64bits(atF) || okN != okF {
+		t.Fatalf("FlightTriggered: keep-none (%q, %v, %v), full (%q, %v, %v)", causeN, atN, okN, causeF, atF, okF)
+	}
+	if err := none.WriteTrace(io.Discard); err == nil {
+		t.Fatal("keep-none WriteTrace returned no error")
+	}
+	if err := none.WriteFlight(io.Discard); err == nil {
+		t.Fatal("keep-none WriteFlight returned no error")
 	}
 }

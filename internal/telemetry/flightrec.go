@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"errors"
 	"io"
 
 	"poly/internal/sim"
@@ -12,23 +13,25 @@ import (
 // newest. The trace buffer answers "what happened from the start?"; the
 // flight ring answers "what just happened?", which is what a
 // post-incident dump needs. Steady-state recording is allocation-free
-// once the ring has grown to its cap.
+// once the ring has grown to its cap; a ring of cap 0 keeps nothing and
+// never allocates.
 type flightRing struct {
 	buf  []traceEv
 	cap  int
 	next int // overwrite cursor, valid once len(buf) == cap
 }
 
+// newFlightRing builds a ring of cap events; a negative cap keeps none.
 func newFlightRing(cap int) *flightRing {
-	if cap < 1 {
-		cap = 1
-	}
-	return &flightRing{cap: cap}
+	return &flightRing{cap: max(cap, 0)}
 }
 
 func (fr *flightRing) add(e traceEv) {
 	if len(fr.buf) < fr.cap {
 		fr.buf = append(fr.buf, e)
+		return
+	}
+	if fr.cap == 0 {
 		return
 	}
 	fr.buf[fr.next] = e
@@ -110,8 +113,12 @@ func (r *Recorder) flightMeta() []traceEv {
 
 // WriteFlight renders the flight recorder as Chrome trace-event JSON:
 // the frozen incident snapshot if a trigger fired, otherwise the live
-// tail of the ring.
+// tail of the ring. A recorder built with a negative FlightRingCap has
+// no ring to render.
 func (r *Recorder) WriteFlight(w io.Writer) error {
+	if r.flight.cap == 0 {
+		return errors.New("telemetry: recorder keeps no flight ring (negative FlightRingCap)")
+	}
 	meta := r.flightMeta()
 	if r.flightSnap != nil {
 		return writeTraceEvents(w, r.tab, meta, r.flightSnap.events)

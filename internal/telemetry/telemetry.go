@@ -30,6 +30,7 @@ package telemetry
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 
@@ -116,11 +117,16 @@ type Options struct {
 	// Evicted spans are recycled, so snapshots from Spans() are only
 	// valid until the ring wraps past them.
 	SpanRingCap int
-	// TraceEventCap bounds the trace buffer (default 1<<20 events);
-	// overflow increments poly_trace_events_dropped_total.
+	// TraceEventCap bounds the trace buffer (0 = the default, 1<<20
+	// events); overflow increments poly_trace_events_dropped_total. A
+	// negative cap keeps no trace at all: events are neither stored nor
+	// counted as dropped, and WriteTrace returns an error. Only an owner
+	// that will write the trace should keep one.
 	TraceEventCap int
-	// FlightRingCap bounds the flight-recorder ring (default 8192
-	// events, oldest overwritten).
+	// FlightRingCap bounds the flight-recorder ring (0 = the default,
+	// 8192 events, oldest overwritten). A negative cap keeps no ring:
+	// triggers are still counted and FlightTriggered still reports the
+	// first one, but WriteFlight returns an error.
 	FlightRingCap int
 	// FlightWindowMS is how much trailing simulated time a flight dump
 	// keeps before the trigger (default 2000 ms).
@@ -141,10 +147,10 @@ func (o *Options) withDefaults() {
 	if o.SpanRingCap <= 0 {
 		o.SpanRingCap = 1024
 	}
-	if o.TraceEventCap <= 0 {
+	if o.TraceEventCap == 0 {
 		o.TraceEventCap = 1 << 20
 	}
-	if o.FlightRingCap <= 0 {
+	if o.FlightRingCap == 0 {
 		o.FlightRingCap = 8192
 	}
 	if o.FlightWindowMS <= 0 {
@@ -645,8 +651,12 @@ func (r *Recorder) TraceDropped() int { return r.trace.dropped }
 func (r *Recorder) TraceEventCount() int { return r.trace.n }
 
 // WriteTrace renders the buffered timeline as Chrome trace-event JSON
-// (load it at https://ui.perfetto.dev or chrome://tracing).
+// (load it at https://ui.perfetto.dev or chrome://tracing). A recorder
+// built with a negative TraceEventCap has no timeline to render.
 func (r *Recorder) WriteTrace(w io.Writer) error {
+	if r.trace.cap == 0 {
+		return errors.New("telemetry: recorder keeps no trace (negative TraceEventCap)")
+	}
 	if d := r.trace.dropped; d > 0 {
 		r.cDropped.set(float64(d))
 	}

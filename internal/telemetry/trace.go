@@ -163,7 +163,8 @@ func (e *traceEv) materialize(tab *strtab) TraceEvent {
 const traceChunk = 1 << 14
 
 // traceBuf accumulates trace events up to a cap; overflow is counted,
-// not stored, so a runaway sweep cannot exhaust memory.
+// not stored, so a runaway sweep cannot exhaust memory. A cap of 0 keeps
+// nothing: add returns at once, stores no event and counts no drop.
 type traceBuf struct {
 	chunks  [][]traceEv
 	n       int
@@ -171,16 +172,16 @@ type traceBuf struct {
 	dropped int
 }
 
+// newTraceBuf builds a buffer of cap events; a negative cap keeps none.
 func newTraceBuf(cap int) *traceBuf {
-	if cap < 1 {
-		cap = 1
-	}
-	return &traceBuf{cap: cap}
+	return &traceBuf{cap: max(cap, 0)}
 }
 
 func (b *traceBuf) add(e traceEv) {
 	if b.n >= b.cap {
-		b.dropped++
+		if b.cap > 0 {
+			b.dropped++
+		}
 		return
 	}
 	last := len(b.chunks) - 1
