@@ -2,6 +2,7 @@ package opencl
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"poly/internal/pattern"
@@ -336,8 +337,8 @@ func (p *Program) Validate() error {
 	if len(p.kernels) == 0 {
 		return fmt.Errorf("opencl: program %q has no kernels", p.Name)
 	}
-	if p.LatencyBoundMS <= 0 {
-		return fmt.Errorf("opencl: program %q has non-positive latency bound", p.Name)
+	if !(p.LatencyBoundMS > 0) || math.IsInf(p.LatencyBoundMS, 1) {
+		return fmt.Errorf("opencl: program %q has latency bound %v ms, want finite and > 0", p.Name, p.LatencyBoundMS)
 	}
 	for _, k := range p.kernels {
 		if err := k.Validate(); err != nil {

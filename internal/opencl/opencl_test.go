@@ -1,6 +1,7 @@
 package opencl
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -145,6 +146,8 @@ func TestParseErrors(t *testing.T) {
 		{"no program", "kernel k\n", "program statement must come first"},
 		{"dup program", "program a\nprogram b\n", "duplicate program"},
 		{"bad bound", "program a\nlatency_bound zero\n", "latency_bound"},
+		{"NaN bound", "program a\nlatency_bound NaN\n", "latency_bound"},
+		{"infinite bound", "program a\nlatency_bound +Infms\n", "latency_bound"},
 		{"in outside kernel", "program a\nin x f32[4]\n", "outside kernel"},
 		{"bad buffer spec", "program a\nkernel k\nin x f32{4}\n", "f32[64x64]"},
 		{"bad type", "program a\nkernel k\nin x f99[4]\n", "unknown data type"},
@@ -269,6 +272,12 @@ func TestProgramValidateRejectsBadPieces(t *testing.T) {
 	}
 	if err := p.Validate(); err == nil {
 		t.Fatal("non-positive latency bound accepted")
+	}
+	for _, bound := range []float64{math.NaN(), math.Inf(1)} {
+		p.LatencyBoundMS = bound
+		if err := p.Validate(); err == nil {
+			t.Fatalf("latency bound %v accepted", bound)
+		}
 	}
 	if err := p.Connect("k", "k", 4); err == nil {
 		t.Fatal("self edge accepted")

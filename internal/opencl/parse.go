@@ -2,6 +2,7 @@ package opencl
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -131,8 +132,8 @@ func (p *parser) statement(lineNo int, fields []string, line string) error {
 			return parseErr(lineNo, "latency_bound takes one value (ms)")
 		}
 		v, err := strconv.ParseFloat(strings.TrimSuffix(fields[1], "ms"), 64)
-		if err != nil || v <= 0 {
-			return parseErr(lineNo, "latency_bound must be a positive number of milliseconds")
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return parseErr(lineNo, "latency_bound must be a positive, finite number of milliseconds")
 		}
 		p.bound = v
 		return nil

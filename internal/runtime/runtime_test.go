@@ -249,6 +249,14 @@ func TestNewServerDegenerateOptions(t *testing.T) {
 			t.Errorf("%s: served %d requests, want an error", c.name, res.Completed)
 		}
 	}
+	// A zero BoundMS takes the program's bound, which must be valid too.
+	prog := *b.Prog
+	prog.LatencyBoundMS = nan
+	nanProg := b
+	nanProg.Prog = &prog
+	if res, err := nanProg.ServeConstantLoadWith(Options{}, 40, 1000, 1); err == nil {
+		t.Errorf("program bound NaN: served %d requests, want an error", res.Completed)
+	}
 	// Zero values keep their defaults, and finite values serve.
 	for _, o := range []Options{{}, {BoundMS: 200, WarmupMS: 100, BatchWaitMS: 4, BatchCap: 8}} {
 		if _, err := b.ServeConstantLoadWith(o, 40, 1000, 1); err != nil {

@@ -211,15 +211,19 @@ func NewServer(node *cluster.Node, prog *opencl.Program, planner Planner, opts O
 		return nil, fmt.Errorf("runtime: nil node, program, or planner")
 	}
 	// Degenerate options would serve without meaning: a NaN bound counts
-	// no violation, a NaN warmup measures nothing.
-	for _, v := range []float64{opts.BoundMS, opts.WarmupMS, opts.BatchWaitMS, float64(opts.BatchCap)} {
-		if !(v >= 0) || math.IsInf(v, 1) {
-			return nil, fmt.Errorf("runtime: BoundMS %v, WarmupMS %v, BatchWaitMS %v, BatchCap %d: each must be finite and >= 0",
-				opts.BoundMS, opts.WarmupMS, opts.BatchWaitMS, opts.BatchCap)
-		}
-	}
+	// no violation, a NaN warmup measures nothing. The bound is checked
+	// after the program's default replaces a zero one.
 	if opts.BoundMS == 0 {
 		opts.BoundMS = prog.LatencyBoundMS
+	}
+	if !(opts.BoundMS > 0) || math.IsInf(opts.BoundMS, 1) {
+		return nil, fmt.Errorf("runtime: latency bound %v ms (BoundMS, or program %q's when 0) must be finite and > 0", opts.BoundMS, prog.Name)
+	}
+	for _, v := range []float64{opts.WarmupMS, opts.BatchWaitMS, float64(opts.BatchCap)} {
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("runtime: WarmupMS %v, BatchWaitMS %v, BatchCap %d: each must be finite and >= 0",
+				opts.WarmupMS, opts.BatchWaitMS, opts.BatchCap)
+		}
 	}
 	sv := &Server{
 		sim:     node.Sim,

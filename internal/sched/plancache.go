@@ -37,44 +37,25 @@ import (
 // The cache has a single owner. Each planner builds its own, and every
 // serving session and fleet shard builds its own planner, whose scratch
 // buffers are not reentrant anyway — so there are no locks or atomics.
-// It is one map from key to a slot in an entry slab, with the slots
-// threaded into an exact LRU list by index: a hit is one map lookup plus
-// a relink, and an insert past capacity reuses the least recently used
-// entry's slot, so an insert allocates only the key string (and a slab
-// chunk every planChunk inserts while the cache fills).
+// It is one map from key to plan, bounded by capacity: a hit is one map
+// lookup and nothing else, and an insert that finds the map full clears
+// it first. Clearing is deterministic and needs no per-entry state; the
+// benchmark's workloads never fill a cache (EXPERIMENTS.md, "A plan
+// cache sized to its traffic"), and on the long runs that do, an exact
+// LRU kept only 6 % more hits.
 type PlanCache struct {
-	capacity int
-	index    map[string]int32
-	// chunks is the entry slab, grown a fixed-size chunk at a time so
-	// growth never copies it; n slots are in use. head is the most
-	// recently used slot and tail the least (-1 when empty).
-	chunks       []*[planChunk]planEntry
-	n            int32
-	head, tail   int32
+	capacity     int
+	plans        map[string]*Plan
 	hits, misses int
 	// streak counts the misses since the last hit (see missStreak).
 	streak int
 }
 
-// planChunk is the slab's growth step, in entries.
-const planChunk = 64
-
-// planEntry is one memoized plan and its LRU links (slab indices, -1 at
-// either end of the list).
-type planEntry struct {
-	key        string
-	plan       *Plan
-	prev, next int32
-}
-
-// at returns slot i's entry.
-func (c *PlanCache) at(i int32) *planEntry { return &c.chunks[i/planChunk][i%planChunk] }
-
 // defaultPlanCacheCapacity bounds the key space one planner retains.
 // A steady serving run touches a few dozen distinct signatures (idle
 // state, a handful of recurring backlogs, × governor operating points);
-// 4096 leaves two orders of magnitude of headroom before eviction while
-// capping worst-case memory at a few MB per session.
+// 4096 leaves two orders of magnitude of headroom before the cache
+// fills while capping worst-case memory at a few MB per session.
 const defaultPlanCacheCapacity = 4096
 
 // newPlanCache builds a cache bounded to capacity entries; capacity <= 0
@@ -83,7 +64,7 @@ func newPlanCache(capacity int) *PlanCache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &PlanCache{capacity: capacity, index: make(map[string]int32), head: -1, tail: -1}
+	return &PlanCache{capacity: capacity, plans: make(map[string]*Plan)}
 }
 
 // Miss-streak bypass. When the node's state stops repeating (Poisson
@@ -121,12 +102,11 @@ func (c *PlanCache) memo(key []byte, cold func() (*Plan, error)) (*Plan, error) 
 	return p, nil
 }
 
-// get returns the cached plan for the key, or nil, and marks a hit most
-// recently used. The result is the shared sealed plan — callers must not
-// mutate it.
+// get returns the cached plan for the key, or nil. The result is the
+// shared sealed plan — callers must not mutate it.
 func (c *PlanCache) get(key []byte) *Plan {
 	// map[string([]byte)] compiles to an allocation-free lookup.
-	i, ok := c.index[string(key)]
+	p, ok := c.plans[string(key)]
 	if !ok {
 		c.misses++
 		c.streak++
@@ -134,72 +114,22 @@ func (c *PlanCache) get(key []byte) *Plan {
 	}
 	c.hits++
 	c.streak = 0
-	c.toFront(i)
-	p := c.at(i).plan
 	if planCheckEnabled {
 		p.verifySeal()
 	}
 	return p
 }
 
-// put stores a sealed plan under a key the cache does not hold, as the
-// most recently used entry. Past capacity the least recently used entry
-// is evicted and its slot reused.
+// put stores a sealed plan under a key the cache does not hold. An
+// insert that finds the cache full empties it first.
 func (c *PlanCache) put(key []byte, p *Plan) {
 	if planCheckEnabled {
 		p.verifySeal()
 	}
-	var i int32
-	if int(c.n) < c.capacity {
-		i = c.n
-		c.n++
-		if int(i/planChunk) == len(c.chunks) {
-			c.chunks = append(c.chunks, new([planChunk]planEntry))
-		}
-	} else {
-		i = c.tail
-		c.unlink(i)
-		delete(c.index, c.at(i).key)
+	if len(c.plans) >= c.capacity {
+		clear(c.plans)
 	}
-	k := string(key)
-	*c.at(i) = planEntry{key: k, plan: p}
-	c.index[k] = i
-	c.pushFront(i)
-}
-
-// toFront marks slot i most recently used.
-func (c *PlanCache) toFront(i int32) {
-	if c.head != i {
-		c.unlink(i)
-		c.pushFront(i)
-	}
-}
-
-// unlink removes slot i from the LRU list.
-func (c *PlanCache) unlink(i int32) {
-	e := c.at(i)
-	if e.prev >= 0 {
-		c.at(e.prev).next = e.next
-	} else {
-		c.head = e.next
-	}
-	if e.next >= 0 {
-		c.at(e.next).prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-}
-
-// pushFront links slot i, not currently in the list, in as its head.
-func (c *PlanCache) pushFront(i int32) {
-	e := c.at(i)
-	e.prev, e.next = -1, c.head
-	if c.head >= 0 {
-		c.at(c.head).prev = i
-	} else {
-		c.tail = i
-	}
-	c.head = i
+	c.plans[string(key)] = p
 }
 
 // Len returns the number of cached plans.
@@ -207,7 +137,7 @@ func (c *PlanCache) Len() int {
 	if c == nil {
 		return 0
 	}
-	return len(c.index)
+	return len(c.plans)
 }
 
 // Stats returns the hit/miss counters accumulated since creation.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"poly/internal/device"
@@ -102,70 +101,65 @@ func TestPlanCacheBoundKeying(t *testing.T) {
 	}
 }
 
-// TestPlanCacheLRUEviction fills a capacity-2 cache with three distinct
-// signatures and checks the oldest untouched entry is the one evicted.
-func TestPlanCacheLRUEviction(t *testing.T) {
+// TestPlanCacheClearsWhenFull fills a capacity-2 cache with two distinct
+// signatures and checks that the third insert empties it first: the cache
+// then holds only the new entry, and both earlier keys miss.
+func TestPlanCacheClearsWhenFull(t *testing.T) {
 	s, _, _ := buildSched(t)
 	s.SetPlanCacheCapacity(2)
 	devs := steadyDevices(s)
 
-	states := []float64{0, 1, 2}
-	for _, f := range states[:2] {
+	for _, f := range []float64{0, 1} {
 		devs[0].FreeAtMS = f
 		if _, hit := scheduleOnce(t, s, devs, 0); hit {
 			t.Fatalf("priming FreeAtMS=%v must miss", f)
 		}
 	}
-	// Touch state 0 so state 1 becomes least recently used.
-	devs[0].FreeAtMS = states[0]
+	devs[0].FreeAtMS = 0
 	if _, hit := scheduleOnce(t, s, devs, 0); !hit {
 		t.Fatal("state 0 should be cached")
 	}
-	// Insert state 2: evicts state 1, keeps state 0.
-	devs[0].FreeAtMS = states[2]
+	if n := s.PlanCacheLen(); n != 2 {
+		t.Fatalf("cache holds %d entries after two inserts, want 2", n)
+	}
+	// Insert state 2 into the full cache: it is cleared, then holds state 2.
+	devs[0].FreeAtMS = 2
 	if _, hit := scheduleOnce(t, s, devs, 0); hit {
 		t.Fatal("state 2 was never planned")
 	}
-	if n := s.PlanCacheLen(); n != 2 {
-		t.Fatalf("cache holds %d entries, capacity is 2", n)
+	if n := s.PlanCacheLen(); n != 1 {
+		t.Fatalf("cache holds %d entries after overflowing, want 1", n)
 	}
-	devs[0].FreeAtMS = states[0]
 	if _, hit := scheduleOnce(t, s, devs, 0); !hit {
-		t.Fatal("state 0 was recently used and must survive the eviction")
+		t.Fatal("state 2 was inserted after the clear and must hit")
 	}
-	devs[0].FreeAtMS = states[1]
-	if _, hit := scheduleOnce(t, s, devs, 0); hit {
-		t.Fatal("state 1 was least recently used and must have been evicted")
+	// State 1 misses and is re-inserted; state 0 then finds the cache
+	// full again (states 2 and 1) and misses too.
+	for _, f := range []float64{1, 0} {
+		devs[0].FreeAtMS = f
+		if _, hit := scheduleOnce(t, s, devs, 0); hit {
+			t.Fatalf("state %v was cleared and must miss", f)
+		}
 	}
 }
 
-// TestPlanCacheMatchesLRUModel runs randomized scripts of lookups and
+// TestPlanCacheMatchesModel runs randomized scripts of lookups and
 // memoized plans against the cache and a reference model at every
-// capacity from 1 to 64: an exact LRU (a recency-ordered key list) plus
-// the miss-streak rule, under which a memo miss is cached only while the
-// misses since the last hit number at most missStreak, or on every
-// missReadmit-th miss after that. Every call must hit exactly when the
-// model holds the key and return the plan cached under it, a memo miss
-// must run the cold planner once, and Len must equal the model's size
-// after every step. Each script interleaves bursts of never-repeating
-// keys long enough to cross the streak threshold, after which the
-// recurring keys hit again and end the streak.
-func TestPlanCacheMatchesLRUModel(t *testing.T) {
+// capacity from 1 to 64: a key set that an insert empties when it finds
+// it full, plus the miss-streak rule, under which a memo miss is cached
+// only while the misses since the last hit number at most missStreak, or
+// on every missReadmit-th miss after that. Every call must hit exactly
+// when the model holds the key and return the plan cached under it, a
+// memo miss must run the cold planner once, and Len must equal the
+// model's size after every step. Each script interleaves bursts of
+// never-repeating keys long enough to cross the streak threshold, after
+// which the recurring keys hit again and end the streak.
+func TestPlanCacheMatchesModel(t *testing.T) {
 	for capacity := 1; capacity <= 64; capacity++ {
 		rng := rand.New(rand.NewSource(int64(capacity)))
 		c := newPlanCache(capacity)
-		var lru []string // most recently used first
-		plans := map[string]*Plan{}
-		streak, longest := 0, 0
-		touch := func(k string) {
-			if i := slices.Index(lru, k); i >= 0 {
-				lru = slices.Delete(lru, i, i+1)
-			}
-			lru = slices.Insert(lru, 0, k)
-			if len(lru) > capacity {
-				lru = lru[:capacity]
-			}
-		}
+		model := map[string]*Plan{}
+		streak, longest, clears := 0, 0, 0
 		keySpace := 2*capacity + 3
 		burst, fresh := 0, 0
 		// Bursts of never-repeating keys start at fixed steps.
@@ -179,7 +173,7 @@ func TestPlanCacheMatchesLRUModel(t *testing.T) {
 				fresh++
 				k = fmt.Sprintf("fresh-%d", fresh)
 			}
-			want := slices.Contains(lru, k)
+			cached, want := model[k]
 			if want {
 				streak = 0
 			} else {
@@ -201,24 +195,27 @@ func TestPlanCacheMatchesLRUModel(t *testing.T) {
 					t.Fatalf("capacity %d step %d: memo(%s) ran %d cold plans, model hit=%v", capacity, step, k, colds, want)
 				}
 				if !want && (streak <= missStreak || (streak-missStreak)%missReadmit == 0) {
-					plans[k] = got
-					touch(k)
+					if len(model) == capacity {
+						clear(model)
+						clears++
+					}
+					model[k] = got
 				}
 			} else if got = c.get([]byte(k)); (got != nil) != want {
 				t.Fatalf("capacity %d step %d: get(%s) hit=%v, model says %v", capacity, step, k, got != nil, want)
 			}
-			if want {
-				if got != plans[k] {
-					t.Fatalf("capacity %d step %d: %s returned a plan it did not cache", capacity, step, k)
-				}
-				touch(k)
+			if want && got != cached {
+				t.Fatalf("capacity %d step %d: %s returned a plan it did not cache", capacity, step, k)
 			}
-			if c.Len() != len(lru) {
-				t.Fatalf("capacity %d step %d: Len() = %d, model holds %d", capacity, step, c.Len(), len(lru))
+			if c.Len() != len(model) {
+				t.Fatalf("capacity %d step %d: Len() = %d, model holds %d", capacity, step, c.Len(), len(model))
 			}
 		}
 		if longest <= missStreak+missReadmit {
 			t.Fatalf("capacity %d: longest miss streak %d never reached a re-admission past the threshold", capacity, longest)
+		}
+		if clears == 0 {
+			t.Fatalf("capacity %d: the script never filled the cache", capacity)
 		}
 	}
 }

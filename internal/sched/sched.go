@@ -756,8 +756,8 @@ func evicts(kernel string, d *DeviceState) bool {
 
 // Schedule runs both optimization steps for one request. devices is the
 // node's current state; boundMS is the application's latency bound LB
-// (≤0 uses the program's bound). The returned plan never violates a bound
-// that Step 1 alone could meet.
+// (≤0 uses the program's bound; NaN or +Inf is an error). The returned
+// plan never violates a bound that Step 1 alone could meet.
 //
 // Plans are memoized: when the node presents a device-state signature the
 // scheduler has planned before — under the same bound, load hint, slack,
@@ -771,8 +771,9 @@ func (s *Scheduler) Schedule(devices []DeviceState, boundMS float64) (*Plan, err
 	if len(devices) == 0 {
 		return nil, fmt.Errorf("sched: no devices")
 	}
-	if boundMS <= 0 {
-		boundMS = s.prog.LatencyBoundMS
+	boundMS, err := planBound(boundMS, s.prog)
+	if err != nil {
+		return nil, err
 	}
 	s.resid.resolve(devices)
 	if s.cache == nil {
@@ -781,6 +782,19 @@ func (s *Scheduler) Schedule(devices []DeviceState, boundMS float64) (*Plan, err
 	return s.cache.memo(s.planKey(devices, boundMS), func() (*Plan, error) {
 		return s.scheduleCold(devices, boundMS)
 	})
+}
+
+// planBound returns the latency bound a plan is made against: boundMS,
+// or prog's own bound when boundMS <= 0. A NaN or +Inf bound is an
+// error, since no makespan could violate it.
+func planBound(boundMS float64, prog *opencl.Program) (float64, error) {
+	if boundMS <= 0 {
+		boundMS = prog.LatencyBoundMS
+	}
+	if !(boundMS > 0) || math.IsInf(boundMS, 1) {
+		return 0, fmt.Errorf("sched: latency bound %v ms must be finite and > 0", boundMS)
+	}
+	return boundMS, nil
 }
 
 // PlaceKernel plans a single kernel in isolation against the given device

@@ -280,7 +280,32 @@ func TestScheduleErrors(t *testing.T) {
 	if _, err := New(prog, &dse.KernelSpaces{GPU: map[string]*dse.Space{}, FPGA: map[string]*dse.Space{}}); err == nil {
 		t.Fatal("missing design spaces accepted")
 	}
-	_ = ks
+	sp, err := NewStatic(prog, ks, device.FPGA, StaticAuto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A NaN or +Inf bound is an error on both planners, whether the call
+	// would hit the cache or not; any bound <= 0, -Inf included, means
+	// the program's own.
+	planners := []struct {
+		name     string
+		schedule func([]DeviceState, float64) (*Plan, error)
+	}{{"dynamic", s.Schedule}, {"static", sp.Schedule}}
+	for _, pl := range planners {
+		for _, bound := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.NaN()} {
+			p, err := pl.schedule(settingIDevices(), bound)
+			switch {
+			case bound > 0 || math.IsNaN(bound):
+				if err == nil {
+					t.Errorf("%s planner accepted bound %v (plan bound %v)", pl.name, bound, p.BoundMS)
+				}
+			case err != nil:
+				t.Errorf("%s planner rejected bound %v: %v", pl.name, bound, err)
+			case p.BoundMS != prog.LatencyBoundMS:
+				t.Errorf("%s planner planned bound %v against %v, want the program's %v", pl.name, bound, p.BoundMS, prog.LatencyBoundMS)
+			}
+		}
+	}
 }
 
 func TestStaticPlannerFixedMapping(t *testing.T) {

@@ -283,8 +283,9 @@ func (sp *StaticPlanner) PlanCacheStats() (hits, misses int) { return sp.cache.S
 // Like the dynamic scheduler, plans are memoized by exact device-state
 // signature; the static planner is a pure function of (devices, bound).
 func (sp *StaticPlanner) Schedule(devices []DeviceState, boundMS float64) (*Plan, error) {
-	if boundMS <= 0 {
-		boundMS = sp.prog.LatencyBoundMS
+	boundMS, err := planBound(boundMS, sp.prog)
+	if err != nil {
+		return nil, err
 	}
 	sp.resid.resolve(devices)
 	if sp.cache == nil {

@@ -17,7 +17,7 @@ import (
 // package exports: request outcomes, stage breakdowns, resource triples,
 // SLO burn gauges, flight triggers, and the per-board device series.
 func buildExpositionRecorder() *Recorder {
-	r := NewWithOptions(Options{SLOTarget: 0.1, SLOShortWindowMS: 100, SLOLongWindowMS: 1000})
+	r := New()
 	r.BeginSession("golden")
 	r.RegisterBoard("gpu0", "GPU")
 	r.RegisterBoard("fpga0", "FPGA")
@@ -93,7 +93,7 @@ func TestExpositionGolden(t *testing.T) {
 		"poly_board_allocated", "poly_board_allocatable", "poly_board_utilization_ratio",
 		"poly_slo_burn_rate", "poly_slo_violation_ratio", "poly_slo_burn_alert",
 		"poly_slo_burn_trips_total", "poly_flight_triggers_total",
-		"poly_stage_latency_ms", "poly_stage_latency_pctl_ms",
+		"poly_stage_latency_ms",
 	} {
 		if !strings.Contains(buf.String(), "# TYPE "+fam+" ") {
 			t.Errorf("exposition is missing family %s", fam)

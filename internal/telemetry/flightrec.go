@@ -70,7 +70,7 @@ type flightSnapshot struct {
 
 // flightTrip fires the flight recorder: counts the trigger, drops
 // a trace instant, and — on the first trigger only — freezes the last
-// FlightWindowMS of ring events as the incident snapshot. Later
+// flightWindowMS of ring events as the incident snapshot. Later
 // triggers only count; the first incident is the one worth the dump,
 // and freezing keeps its prelude from being overwritten while the run
 // continues.
@@ -82,7 +82,7 @@ func (r *Recorder) flightTrip(cause string, at sim.Time) {
 	if r.flightSnap != nil {
 		return
 	}
-	since := us(at) - r.opts.FlightWindowMS*1000
+	since := us(at) - flightWindowMS*1000
 	r.flightSnap = &flightSnapshot{cause: cause, atMS: float64(at),
 		events: r.flight.snapshot(since)}
 }

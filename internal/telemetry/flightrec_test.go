@@ -57,39 +57,39 @@ func ms(v float64) sim.Time { return sim.Time(v) }
 
 // TestFlightFreezeAtFirstTrigger drives the whole incident protocol: the
 // first *measured* violation freezes a snapshot of the preceding
-// FlightWindowMS; later triggers only count; warmup violations never
+// flightWindowMS (2 s); later triggers only count; warmup violations never
 // trip; and the dump carries admit events that the main trace omits.
 func TestFlightFreezeAtFirstTrigger(t *testing.T) {
-	r := NewWithOptions(Options{FlightWindowMS: 100})
+	r := New()
 	r.BeginSession("incident")
 	r.RegisterBoard("gpu0", "GPU")
 
 	// A warmup (unmeasured) violation is trace-visible but must not trip.
-	sp := r.StartSpan(ms(5), 10)
+	sp := r.StartSpan(ms(100), 10)
 	sp.Violation = true
 	sp.LatencyMS = 50
-	r.FinishSpan(sp, ms(6))
+	r.FinishSpan(sp, ms(120))
 	if _, _, ok := r.FlightTriggered(); ok {
 		t.Fatal("warmup violation tripped the flight recorder")
 	}
 
 	// Old activity that must age out of the frozen window.
-	r.Launched("gpu0", "oldkernel", "impl", 1, ms(10), ms(20))
+	r.Launched("gpu0", "oldkernel", "impl", 1, ms(200), ms(400))
 	// Activity inside the window.
-	r.Launched("gpu0", "prelude", "impl", 1, ms(460), ms(470))
-	finishViolation(r, 480, false)
+	r.Launched("gpu0", "prelude", "impl", 1, ms(9200), ms(9400))
+	finishViolation(r, 9600, false)
 
-	finishViolation(r, 500, true) // first measured violation: freeze [400, 500]
+	finishViolation(r, 10000, true) // first measured violation: freeze [8000, 10000]
 	cause, atMS, ok := r.FlightTriggered()
-	if !ok || cause != "violation" || atMS != 500 {
-		t.Fatalf("FlightTriggered = (%q, %v, %v), want (violation, 500, true)", cause, atMS, ok)
+	if !ok || cause != "violation" || atMS != 10000 {
+		t.Fatalf("FlightTriggered = (%q, %v, %v), want (violation, 10000, true)", cause, atMS, ok)
 	}
 
 	// Later triggers — another violation, a board going down — count but
 	// must not move the frozen snapshot.
-	finishViolation(r, 600, true)
-	r.BoardHealthChanged("gpu0", "suspect", "down", ms(700))
-	if cause, atMS, _ := r.FlightTriggered(); cause != "violation" || atMS != 500 {
+	finishViolation(r, 12000, true)
+	r.BoardHealthChanged("gpu0", "suspect", "down", ms(14000))
+	if cause, atMS, _ := r.FlightTriggered(); cause != "violation" || atMS != 10000 {
 		t.Fatalf("snapshot moved to (%q, %v); first trigger must win", cause, atMS)
 	}
 	trips := r.Registry().Counter("poly_flight_triggers_total", "", "cause", "violation").Value()
@@ -116,7 +116,7 @@ func TestFlightFreezeAtFirstTrigger(t *testing.T) {
 			sawAdmit = true
 		case e.Name == "flight_trigger":
 			sawTrigger = true
-		case e.Phase != "M" && e.TS > 500*1000:
+		case e.Phase != "M" && e.TS > 10000*1000:
 			sawLate = true
 		}
 	}
@@ -124,7 +124,7 @@ func TestFlightFreezeAtFirstTrigger(t *testing.T) {
 		t.Fatalf("frozen window missing events: prelude=%v admit=%v trigger=%v", sawPrelude, sawAdmit, sawTrigger)
 	}
 	if sawOld {
-		t.Fatal("event 480 ms before the trigger survived a 100 ms window")
+		t.Fatal("an event 9.6 s before the trigger survived a 2 s window")
 	}
 	if sawLate {
 		t.Fatal("post-trigger event leaked into the frozen snapshot")

@@ -24,8 +24,8 @@
 // The enabled path is budgeted too: per-board series pointers cached at
 // registration, compact (map-free) trace events, and recycled spans keep
 // BenchmarkServeTelemetryOn within 10% of telemetry-off (CI-gated).
-// Derived series — utilization ratios, stage percentiles, SLO burn
-// gauges — are synced lazily at scrape time, not per event.
+// Derived series — utilization ratios and SLO burn gauges — are synced
+// lazily at scrape time, not per event.
 package telemetry
 
 import (
@@ -128,20 +128,22 @@ type Options struct {
 	// triggers are still counted and FlightTriggered still reports the
 	// first one, but WriteFlight returns an error.
 	FlightRingCap int
-	// FlightWindowMS is how much trailing simulated time a flight dump
-	// keeps before the trigger (default 2000 ms).
-	FlightWindowMS float64
-	// SLOTarget is the violation budget the burn rate is measured
-	// against (default 0.01 — a 1% violation ratio burns at rate 1.0).
-	SLOTarget float64
-	// SLOShortWindowMS / SLOLongWindowMS are the two sliding windows
-	// (defaults 5000 ms and 60000 ms).
-	SLOShortWindowMS float64
-	SLOLongWindowMS  float64
-	// SLOBurnThreshold trips the burn alert when both windows exceed it
-	// (default 2.0); the alert clears with 2:1 hysteresis.
-	SLOBurnThreshold float64
 }
+
+const (
+	// flightWindowMS is how much trailing simulated time a flight dump
+	// keeps before the trigger.
+	flightWindowMS = 2000
+	// sloTarget is the violation budget the burn rate is measured
+	// against: a 1% violation ratio burns at rate 1.0.
+	sloTarget = 0.01
+	// sloShortWindowMS and sloLongWindowMS are the two sliding windows.
+	sloShortWindowMS = 5000
+	sloLongWindowMS  = 60000
+	// sloBurnThreshold trips the burn alert when both windows exceed it;
+	// the alert clears with 2:1 hysteresis.
+	sloBurnThreshold = 2.0
+)
 
 func (o *Options) withDefaults() {
 	if o.SpanRingCap <= 0 {
@@ -152,21 +154,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.FlightRingCap == 0 {
 		o.FlightRingCap = 8192
-	}
-	if o.FlightWindowMS <= 0 {
-		o.FlightWindowMS = 2000
-	}
-	if o.SLOTarget <= 0 {
-		o.SLOTarget = 0.01
-	}
-	if o.SLOShortWindowMS <= 0 {
-		o.SLOShortWindowMS = 5000
-	}
-	if o.SLOLongWindowMS <= 0 {
-		o.SLOLongWindowMS = 60000
-	}
-	if o.SLOBurnThreshold <= 0 {
-		o.SLOBurnThreshold = 2.0
 	}
 }
 
@@ -207,7 +194,6 @@ type Recorder struct {
 	trace *traceBuf
 	tab   *strtab
 	in    fixedIDs
-	opts  Options
 
 	session   int // current Perfetto pid; 0 before BeginSession
 	boards    map[string]*boardState
@@ -224,11 +210,7 @@ type Recorder struct {
 	nodeResOn  [numResources]bool
 	nodeGauges [numResources]resGauges
 
-	stageSamples [NumStages]sim.Sample
-	stageHists   [NumStages]*Metric
-	stageP50     [NumStages]*Metric
-	stageP95     [NumStages]*Metric
-	stageP99     [NumStages]*Metric
+	stageHists [NumStages]*Metric
 
 	// cached hot-path series
 	cOK, cViolation, cWarmup, cDroppedReq, cShed *Metric
@@ -270,9 +252,7 @@ func NewWithOptions(o Options) *Recorder {
 		flight:  newFlightRing(o.FlightRingCap),
 		boards:  make(map[string]*boardState),
 		scrapes: make(chan chan []byte),
-		opts:    o,
-		slo: newSLOTracker(o.SLOTarget, o.SLOShortWindowMS, o.SLOLongWindowMS,
-			o.SLOBurnThreshold),
+		slo:     newSLOTracker(sloTarget, sloShortWindowMS, sloLongWindowMS, sloBurnThreshold),
 	}
 	r.tab = newStrtab()
 	r.in = fixedIDs{
@@ -310,15 +290,6 @@ func NewWithOptions(o Options) *Recorder {
 			"Per-stage request latency breakdown (stages sum to end-to-end latency).",
 			"stage", StageNames[i])
 	}
-	for i := 0; i < NumStages; i++ {
-		r.stageP50[i] = r.reg.Gauge("poly_stage_latency_pctl_ms",
-			"Exact per-stage latency percentiles over the measured population.",
-			"stage", StageNames[i], "q", "p50")
-		r.stageP95[i] = r.reg.Gauge("poly_stage_latency_pctl_ms", "",
-			"stage", StageNames[i], "q", "p95")
-		r.stageP99[i] = r.reg.Gauge("poly_stage_latency_pctl_ms", "",
-			"stage", StageNames[i], "q", "p99")
-	}
 	r.gPower = r.reg.Gauge("poly_power_watts", "Node accelerator power at the last sample.")
 	r.gInflightSpans = r.reg.Gauge("poly_spans_inflight", "Spans started but not finished.")
 	r.cDropped = r.reg.Counter("poly_trace_events_dropped_total", "Trace events over the buffer cap.")
@@ -353,13 +324,9 @@ func (r *Recorder) BeginSession(label string) {
 	r.nextTID = tidFirstBoard
 	clear(r.boards)
 	r.boardList = r.boardList[:0]
-	// A new session restarts the simulated clock; burn-rate windows and
-	// stage-percentile populations from the previous timeline must not
-	// bleed into it.
+	// A new session restarts the simulated clock; burn-rate windows from
+	// the previous timeline must not bleed into it.
 	r.slo.reset()
-	for i := range r.stageSamples {
-		r.stageSamples[i].Reset()
-	}
 	r.trace.add(traceEv{kind: evMetaProcess, name: r.in.processName, pid: int32(r.session), s1: r.tab.id(label)})
 	r.trace.add(traceEv{kind: evMetaThread, name: r.in.threadName, pid: int32(r.session), tid: tidGovernor, s1: r.in.governor})
 	r.trace.add(traceEv{kind: evMetaThread, name: r.in.threadName, pid: int32(r.session), tid: tidRequests, s1: r.in.requests})
@@ -465,9 +432,7 @@ func (r *Recorder) FinishSpan(sp *Span, at sim.Time) {
 		r.hLatency.observe(sp.LatencyMS)
 		r.hAdmitWait.observe(sp.AdmitWaitMS())
 		for i := 0; i < NumStages; i++ {
-			v := sp.Stages.Get(i)
-			r.stageHists[i].observe(v)
-			r.stageSamples[i].Add(v)
+			r.stageHists[i].observe(sp.Stages.Get(i))
 		}
 	}
 	if !sp.Dropped {
@@ -664,20 +629,10 @@ func (r *Recorder) WriteTrace(w io.Writer) error {
 }
 
 // syncDerived refreshes every scrape-time series: resource
-// utilization gauges, stage percentile gauges, SLO burn gauges, and the
-// trace-drop counter. Doing this once per scrape keeps the per-event
+// utilization gauges, SLO burn gauges, and the trace-drop counter. Doing this once per scrape keeps the per-event
 // recording path flat.
 func (r *Recorder) syncDerived() {
 	r.syncResources()
-	for i := 0; i < NumStages; i++ {
-		s := &r.stageSamples[i]
-		if s.Count() == 0 {
-			continue
-		}
-		r.stageP50[i].set(s.Percentile(50))
-		r.stageP95[i].set(s.Percentile(95))
-		r.stageP99[i].set(s.Percentile(99))
-	}
 	shortBurn, longBurn, shortVio, longVio := r.slo.rates()
 	r.gBurnShort.set(shortBurn)
 	r.gBurnLong.set(longBurn)
